@@ -31,7 +31,9 @@ from .degrees import (
 from .hooks import (
     AnBoundResult,
     count_pprime_hooks_formula,
+    count_pprime_partitions_formula,
     ext_pprime_degree_set,
+    filter_ext_degree_sets,
     halved_count_lower_bound,
     layered_pprime_hooks,
     list_pprime_hooks,

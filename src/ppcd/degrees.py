@@ -157,10 +157,3 @@ def an_degrees(lam: Partition) -> list[int]:
     if r:
         raise ArithmeticError(f"self-conjugate {lam} has odd degree {d}")
     return [half, half]
-
-
-def sum_of_degree_squares(n: int) -> int:
-    """Sum of squared degrees over all partitions of n (equals n!)."""
-    from .partitions import enumerate_partitions
-
-    return sum(degree(lam) ** 2 for lam in enumerate_partitions(n))

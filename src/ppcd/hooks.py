@@ -9,6 +9,12 @@ formula a_1 * p^{n_1} * prod(a_j + 1) is the main verification target.
 On top of that sit the quasihook degree families (n-c-t, c, 1^t) and
 ``verify_An_bound``, which certifies at least three distinct p'-degrees
 of A_n characters that extend to S_n for every n >= 7 and prime p > 3.
+
+The exact extendable p'-degree sets of A_n are generated from the
+p-core tower: only the p'-partitions of n are built, as many as the
+McKay number prod_j k(p^j, a_j), instead of scanning all p(n).  The
+full scan survives as ``filter_ext_degree_sets``, the oracle the
+generated sets are tested against.
 """
 
 from __future__ import annotations
@@ -23,7 +29,9 @@ from .partitions import (
     DEFAULT_ENUMERATION_BOUND,
     Partition,
     _conjugate_parts,
+    _hook_lengths,
     _partition_tuples,
+    _pprime_tuples,
     hook_partition,
     is_self_conjugate,
     p_adic_expansion,
@@ -35,7 +43,9 @@ __all__ = [
     "DEFAULT_SCAN_BOUND",
     "SCAN_BOUND_ENV",
     "count_pprime_hooks_formula",
+    "count_pprime_partitions_formula",
     "ext_pprime_degree_set",
+    "filter_ext_degree_sets",
     "halved_count_lower_bound",
     "layered_pprime_hooks",
     "list_pprime_hooks",
@@ -54,7 +64,7 @@ SCAN_BOUND_ENV = "PPCD_SCAN_BOUND"
 
 
 def scan_bound() -> int:
-    """Partition-scan bound for exact mode; PPCD_SCAN_BOUND overrides."""
+    """Largest n for exact mode; PPCD_SCAN_BOUND overrides."""
     raw = os.environ.get(SCAN_BOUND_ENV)
     if raw is None:
         return DEFAULT_SCAN_BOUND
@@ -107,6 +117,31 @@ def count_pprime_hooks_formula(n: int, p: int) -> int:
     digits = p_adic_expansion(n, p).digits
     a1, e1 = digits[0]
     return a1 * p**e1 * prod(a + 1 for a, _ in digits[1:])
+
+
+def count_pprime_partitions_formula(n: int, p: int) -> int:
+    """McKay number: how many partitions of n have p'-degree.
+
+    With n = sum a_j p^j in base p the count is prod_j k(p^j, a_j), where
+    k(e, a) is the number of e-multipartitions of a (Macdonald).  k is
+    the coefficient of x^a in prod_i (1 - x^i)^(-e), from the recurrence
+    m c_m = e * sum_{i=1..m} sigma(i) c_{m-i}, independent of any
+    enumeration.
+    """
+    if n < 0:
+        raise ValueError(f"expected n >= 0, got {n!r}")
+    count = 1
+    for a, k in p_adic_expansion(n, p).digits:
+        e = p**k
+        c = [1]
+        for m in range(1, a + 1):
+            c.append(e * sum(_divisor_sum(i) * c[m - i] for i in range(1, m + 1)) // m)
+        count *= c[a]
+    return count
+
+
+def _divisor_sum(m: int) -> int:
+    return sum(d for d in range(1, m + 1) if m % d == 0)
 
 
 @lru_cache(maxsize=None)
@@ -230,11 +265,40 @@ def _valuation_table(limit: int, p: int) -> list[int]:
 
 
 def scan_ext_degree_sets(n: int, primes: tuple[int, ...]) -> dict[int, set[int]]:
-    """Full-scan extendable p'-degree sets of A_n, one pass per n.
+    """Exact extendable p'-degree sets of A_n, generated from the p-core tower.
 
     For every prime p given, collects the degrees of the partitions of
     n with p'-degree and lam != lam' (exactly the p'-degree characters
-    of A_n that extend to S_n).
+    of A_n that extend to S_n).  Only the p'-partitions are visited,
+    built by ``_pprime_tuples``; the set is closed under conjugation and
+    a conjugate pair shares its degree, so each pair is counted once, at
+    the member with lam' < lam.
+    """
+    primes = tuple(primes)
+    for p in primes:
+        require_prime(p)
+    if n < 1:
+        raise ValueError(f"expected n >= 1, got {n!r}")
+    fact = factorial(n)
+    out: dict[int, set[int]] = {}
+    for p in primes:
+        degs = out[p] = set()
+        for parts in _pprime_tuples(n, p):
+            if len(parts) > parts[0]:  # conj[0] > parts[0]: conj < parts fails
+                continue
+            conj = _conjugate_parts(parts)
+            if conj < parts:
+                degs.add(fact // prod(_hook_lengths(parts, conj)))
+    return out
+
+
+def filter_ext_degree_sets(n: int, primes: tuple[int, ...]) -> dict[int, set[int]]:
+    """Full-scan oracle for scan_ext_degree_sets, one pass per n.
+
+    Visits every partition of n and keeps those whose summed hook
+    valuations show p'-degree and with lam != lam'.  Kept only as the
+    reference the p-core-tower sets are tested against, like
+    ``e_core_by_removal`` for the abacus core.
     """
     primes = tuple(primes)
     for p in primes:
@@ -279,9 +343,10 @@ def scan_ext_degree_sets(n: int, primes: tuple[int, ...]) -> dict[int, set[int]]
 def ext_pprime_degree_set(n: int, p: int, *, bound: int | None = None) -> set[int]:
     """Degrees of p'-degree A_n characters that extend to S_n.
 
-    Exact (full partition scan) for n within the scan bound; above it,
-    a certified subset built from p'-hooks and the quasihook families,
-    every member re-checked p'-degree before inclusion.
+    Exact for n within the scan bound, generated from the p-core tower
+    (``scan_ext_degree_sets``); above it, a certified subset built from
+    p'-hooks and the quasihook families, every member re-checked
+    p'-degree before inclusion.
     """
     require_prime(p)
     if n < 1:

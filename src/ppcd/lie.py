@@ -683,8 +683,9 @@ def exceptional_grid(q_max: int = 128, p_max: int = 97) -> list[tuple[str, int, 
 
     For PSp4 and the carried exceptional-type constants the regime is
     defining characteristic (p = char q > 3); the Suzuki/Ree rows need
-    p dividing q^2 - 1; the rank <= 3 linear families accept any prime
-    p > 3 (the case split covers dividing and non-dividing p alike).
+    p dividing q^2 - 1, over every field q^2 = 2^(2m+1) >= 8 resp.
+    3^(2m+1) >= 27 up to q_max; the rank <= 3 linear families accept any
+    prime p > 3 (the case split covers dividing and non-dividing p alike).
     """
     ps = _primes_in(5, p_max)
     combos: list[tuple[str, int, int]] = []
@@ -710,14 +711,11 @@ def exceptional_grid(q_max: int = 128, p_max: int = 97) -> list[tuple[str, int, 
         if r > 3 and r <= p_max:
             for fam in ("PSp4", "G2", "F4", "TriD4"):
                 combos.append((fam, q, r))
-    for q2 in (8, 32, 128):
-        if q2 <= q_max:
+    for fam, r in (("Suzuki", 2), ("Ree2G2", 3)):
+        q2 = r**3  # the fields r^(2m+1), m >= 1
+        while q2 <= q_max:
             for p in ps:
                 if (q2 - 1) % p == 0:
-                    combos.append(("Suzuki", q2, p))
-    for q2 in (27,):
-        if q2 <= q_max:
-            for p in ps:
-                if (q2 - 1) % p == 0:
-                    combos.append(("Ree2G2", q2, p))
+                    combos.append((fam, q2, p))
+            q2 *= r * r
     return combos

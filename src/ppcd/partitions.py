@@ -7,7 +7,9 @@ enumeration of partitions and hook partitions.
 e-cores are computed on a beta-set abacus (push every bead to the top
 of its runner), which is order-independent by construction and runs in
 O(parts + e).  A naive rim-hook remover is kept alongside it as the
-cross-check oracle for the core computation.
+cross-check oracle for the core computation.  The same abacus, run in
+reverse, generates the p'-degree partitions of n directly from the
+p-core tower (``_pprime_tuples``) without visiting the others.
 
 Partitions are immutable values and every function is pure, so the
 module is safe for concurrent use.  Enumeration order is fixed
@@ -18,7 +20,8 @@ byte for byte.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import total_ordering
+from functools import lru_cache, total_ordering
+from operator import sub
 from typing import Iterable, Iterator
 
 __all__ = [
@@ -134,12 +137,12 @@ class Partition:
 
 
 def _conjugate_parts(parts: tuple[int, ...]) -> tuple[int, ...]:
+    """Column lengths, run by run: parts[i-1] - parts[i] columns of height i."""
     if not parts:
         return ()
-    conj = [0] * parts[0]
-    for v in parts:
-        for j in range(v):
-            conj[j] += 1
+    conj = [len(parts)] * parts[-1]
+    for i in range(len(parts) - 1, 0, -1):
+        conj += [i] * (parts[i - 1] - parts[i])
     return tuple(conj)
 
 
@@ -323,6 +326,68 @@ def _partition_tuples(n: int) -> Iterator[tuple[int, ...]]:
             r += (nxt,)
             rest -= nxt
         yield r
+
+
+@lru_cache(maxsize=None)
+def _multipartitions(e: int, a: int) -> tuple[tuple[tuple[int, tuple[int, ...]], ...], ...]:
+    """Every e-multipartition of a, each as its nonempty components.
+
+    A multipartition is a tuple of (runner, parts) pairs with strictly
+    increasing runners in range(e); the empty tuple is the only one of 0.
+    """
+    partitions_of = [tuple(_partition_tuples(size)) for size in range(a + 1)]
+
+    def extend(first: int, left: int):
+        if not left:
+            yield ()
+            return
+        for runner in range(first, e):
+            for size in range(1, left + 1):
+                for parts in partitions_of[size]:
+                    for rest in extend(runner + 1, left - size):
+                        yield ((runner, parts),) + rest
+
+    return tuple(extend(0, a))
+
+
+def _pprime_tuples(n: int, p: int) -> Iterator[tuple[int, ...]]:
+    """Every partition of n with p'-degree, once each, as raw tuples.
+
+    Built from the p-core tower instead of filtered.  With a * p^k the
+    top base-p term of n and r = n - a * p^k, lam has p'-degree iff it
+    has p^k-weight a and its p^k-core, a partition of r, has p'-degree
+    (Macdonald).  Every partition of r < p^k is a p^k-core, so the
+    core/quotient bijection on the beta-set abacus rebuilds each such
+    lam exactly once from a p'-partition mu of r and a p^k-multipartition
+    of a: slide the j-th lowest bead of runner i down nu^(i)_j levels.
+    A partition of n < p always has p'-degree, since p does not divide n!.
+    """
+    if n < p:
+        yield from _partition_tuples(n)
+        return
+    e = p
+    while e * p <= n:
+        e *= p
+    a, r = divmod(n, e)
+    quotients = _multipartitions(e, a)
+    for mu in _pprime_tuples(r, p):
+        # len(mu) + e * a beads, so that every runner holds at least a
+        beads = len(mu) + e * a
+        beta = [v + beads - 1 - i for i, v in enumerate(mu)]
+        beta += range(e * a - 1, -1, -1)
+        offsets = range(beads - 1, -1, -1)
+        runners: list[list[int]] = [[] for _ in range(e)]
+        for i, b in enumerate(beta):  # indices of each runner's beads, lowest first
+            runners[b % e].append(i)
+        for quotient in quotients:
+            moved = beta[:]
+            for runner, nu in quotient:
+                idx = runners[runner]
+                for j, v in enumerate(nu):
+                    moved[idx[j]] += e * v
+            moved.sort(reverse=True)
+            lam = list(map(sub, moved, offsets))
+            yield tuple(lam[: lam.index(0)] if lam[-1] == 0 else lam)
 
 
 def enumerate_partitions(n: int, *, bound: int = DEFAULT_ENUMERATION_BOUND) -> Iterator[Partition]:

@@ -9,6 +9,7 @@ from math import factorial
 from ppcd.ctbl import bundled_table, cd_pprime, pgl2_degree_set
 from ppcd.degrees import degree, is_pprime_macdonald, is_pprime_oracle
 from ppcd.hooks import (
+    count_pprime_partitions_formula,
     halved_count_lower_bound,
     quasihook_monotone,
     scan_ext_degree_sets,
@@ -24,9 +25,12 @@ from ppcd.lie import (
     prime_powers_upto,
     semisimple_degree,
 )
-from ppcd.partitions import Partition, enumerate_partitions, is_prime
+from ppcd.partitions import Partition, _pprime_tuples, enumerate_partitions, is_prime
 
 PRIMES = (5, 7, 11, 13)
+# Above n = 40 the generator is only enumerated where the McKay number is
+# at most this; the sum over every n <= 100 is about 1.3e8 partitions.
+MCKAY_ENUMERATION_CAP = 5000
 
 
 def _report(num: int, violations: list, text: str) -> None:
@@ -147,3 +151,24 @@ def test_criterion_9_intro_examples():
             if len(coprime) != 3:
                 violations.append(("PGL2", p))
     _report(9, violations, "|cd_p'(A5)| = 3 for p in {2,3,5}; |cd_2'(S5)| = 2; |cd_p'(PGL2(p))| = 3 for 7 <= p <= 97")
+
+
+def test_criterion_10_mckay_count_formula():
+    violations = []
+    for p in PRIMES:
+        for n in range(0, 101):
+            formula = count_pprime_partitions_formula(n, p)
+            if n <= 40 or formula <= MCKAY_ENUMERATION_CAP:
+                generated = sum(1 for _ in _pprime_tuples(n, p))
+                if generated != formula:
+                    violations.append((n, p, "generator", generated, formula))
+            if n <= 25:
+                filtered = sum(1 for lam in enumerate_partitions(n) if is_pprime_oracle(lam, p))
+                if filtered != formula:
+                    violations.append((n, p, "oracle", filtered, formula))
+    _report(
+        10,
+        violations,
+        "McKay product prod k(p^j, a_j) == p'-generator length (n <= 40, and n <= 100 up to "
+        f"{MCKAY_ENUMERATION_CAP}) == valuation-oracle count (n <= 25)",
+    )

@@ -1,6 +1,10 @@
 """CLI surface: subcommand outputs, exit codes, byte determinism."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -207,3 +211,17 @@ class TestErrorsAndDeterminism:
             _, out, _ = run(capsys, "verify-lie", "--q-max", "5", "--p-max", "13")
             outputs.add(out)
         assert len(outputs) == 1
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_byte_identical_across_hash_seeds(self, fmt):
+        # degree sets pass through hashing; output must not depend on it
+        src = str(Path(cli.__file__).resolve().parents[1])
+        argv = [sys.executable, "-m", "ppcd", "verify-an", "--n-max", "30",
+                "--primes", "5,7,11,13", "--format", fmt]
+        outputs = []
+        for seed in ("0", "12345"):
+            env = dict(os.environ, PYTHONHASHSEED=seed)
+            env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+            done = subprocess.run(argv, env=env, capture_output=True, check=True)
+            outputs.append(done.stdout)
+        assert outputs[0] == outputs[1] and outputs[0]

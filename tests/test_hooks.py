@@ -8,6 +8,7 @@ from ppcd.hooks import (
     SCAN_BOUND_ENV,
     count_pprime_hooks_formula,
     ext_pprime_degree_set,
+    filter_ext_degree_sets,
     halved_count_lower_bound,
     layered_pprime_hooks,
     list_pprime_hooks,
@@ -183,6 +184,10 @@ class TestExtDegreeSet:
                 constructive = ext_pprime_degree_set(n, p, bound=10)
                 assert constructive <= exact
                 assert len(constructive) >= 3
+
+    @pytest.mark.parametrize("n", range(5, 41))
+    def test_generated_sets_match_full_scan(self, n):
+        assert scan_ext_degree_sets(n, PRIMES) == filter_ext_degree_sets(n, PRIMES)
 
     def test_batched_scan_matches_single(self):
         sets = scan_ext_degree_sets(12, PRIMES)

@@ -2,6 +2,7 @@
 semisimple degrees, the classical divisibility grid, and the selected
 pairs for the small families."""
 
+import hashlib
 from fractions import Fraction
 
 import pytest
@@ -381,6 +382,24 @@ class TestExceptionalGrid:
         assert ("PSL2", 7, 5) in combos
         assert ("PSp4", 5, 13) not in combos  # outside defining characteristic
         assert all(q2 != 128 for fam, q2, _ in combos if fam == "Suzuki")
+
+    def test_default_grid_unchanged(self):
+        # the benchmark's lie-pair corpus was recorded from this grid
+        grid = exceptional_grid(128, 97)
+        assert len(grid) == 3078
+        digest = hashlib.sha256(repr(grid).encode()).hexdigest()
+        assert digest == "fcf9d8fe043cb1b96b64f98223cca988f8935e1d86cdc8fb00245af579068ae8"
+
+    def test_suzuki_and_ree_fields_follow_q_max(self):
+        combos = exceptional_grid(2200, 97)
+        for row in (("Suzuki", 512, 7), ("Suzuki", 512, 73), ("Ree2G2", 243, 11)):
+            assert row in combos
+        twisted = [row for row in combos if row[0] in ("Suzuki", "Ree2G2")]
+        assert {q for _, q, _ in twisted} == {8, 32, 512, 2048, 27, 243}
+        for family, q, p in twisted:
+            d1, d2 = exceptional_pair(family, q, p)
+            assert nondivisibility_check(d1, d2, p), (family, q, p, d1, d2)
+            assert in_contract_regime(family, q, p)
 
     def test_small_grid_contract(self):
         for family, q, p in exceptional_grid(32, 31):

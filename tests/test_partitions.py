@@ -4,9 +4,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ppcd.degrees import is_pprime_oracle
 from ppcd.partitions import (
     PAdicExpansion,
     Partition,
+    _conjugate_parts,
+    _partition_tuples,
+    _pprime_tuples,
     conjugate,
     divisible_hooks,
     e_core,
@@ -83,6 +87,14 @@ class TestConjugate:
         for n in range(13):
             for lam in enumerate_partitions(n):
                 assert conjugate(conjugate(lam)) == lam
+
+    @pytest.mark.parametrize("n", range(21))
+    def test_run_length_conjugate(self, n):
+        for parts in _partition_tuples(n):
+            conj = _conjugate_parts(parts)
+            assert _conjugate_parts(conj) == parts
+            columns = tuple(sum(1 for v in parts if v > j) for j in range(n and parts[0]))
+            assert conj == columns
 
     def test_self_conjugate(self):
         assert is_self_conjugate(Partition([3, 1, 1]))
@@ -223,3 +235,13 @@ class TestEnumeration:
         assert hook_partition(5, 4) == Partition([1] * 5)
         with pytest.raises(ValueError):
             hook_partition(5, 5)
+
+
+class TestPPrimeGenerator:
+    @pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 13])
+    def test_matches_oracle_filter(self, p):
+        for n in range(27):
+            generated = list(_pprime_tuples(n, p))
+            assert len(generated) == len(set(generated)), (n, p)
+            expected = {lam.parts for lam in enumerate_partitions(n) if is_pprime_oracle(lam, p)}
+            assert set(generated) == expected, (n, p)
