@@ -17,6 +17,7 @@ import argparse
 import json
 import sys
 from fractions import Fraction
+from functools import lru_cache
 
 from . import ctbl as ctbl_mod
 from . import hooks as hooks_mod
@@ -70,19 +71,17 @@ def _bool_str(flag: bool) -> str:
 
 
 def cmd_hooks(args, out) -> int:
-    hooks = hooks_mod.list_pprime_hooks(args.n, args.p)
-    formula = hooks_mod.count_pprime_hooks_formula(args.n, args.p)
-    record = {
-        "n": args.n,
-        "p": args.p,
-        "count": len(hooks),
-        "formula": formula,
-        "hooks": [lam.to_list() for lam in hooks],
-    }
-    _emit_json(record, out)
-    if formula != len(hooks):
-        _fail({"violation": "hook-count", "n": args.n, "p": args.p,
-               "formula": formula, "enumerated": len(hooks)})
+    n, p = args.n, args.p
+    xs = hooks_mod.pprime_hook_xs(n, p)
+    formula = hooks_mod.count_pprime_hooks_formula(n, p)
+    # each hook (n - x, 1^x) is written straight as its JSON row, with no
+    # Partition built and no n integers per hook for json.dumps to encode
+    head = json.dumps({"n": n, "p": p, "count": len(xs), "formula": formula})
+    rows = ", ".join("[" + str(n - x) + ", 1" * x + "]" for x in xs)
+    _emit(head[:-1] + ', "hooks": [' + rows + "]}", out)
+    if formula != len(xs):
+        _fail({"violation": "hook-count", "n": n, "p": p,
+               "formula": formula, "enumerated": len(xs)})
         return 2
     return 0
 
@@ -261,7 +260,9 @@ def cmd_ctbl(args, out) -> int:
 # -- parser -------------------------------------------------------------------
 
 
+@lru_cache(maxsize=1)
 def build_parser() -> _Parser:
+    """The CLI parser, built on first use and reused by later calls."""
     parser = _Parser(prog="ppcd", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
 

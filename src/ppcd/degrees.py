@@ -3,21 +3,22 @@
 Degrees come from the hook-length formula with exact big-integer
 arithmetic.  p-divisibility questions go through Legendre's factorial
 valuation, so n! is never factored and never materialized for a mere
-p'-test; the recursive p-power-core criterion (Macdonald) is the fast
-check and the valuation computation is its independent oracle.
+p'-test.  The fast p'-test is Macdonald's p-power-core criterion, run on
+the beta-set abacus: the e-weight (n - |core_e|) / e equals the number
+of hooks divisible by e (James-Kerber 2.7.40), and |core_e| follows from
+the bead count of each runner alone, so no hook length is built.  The
+valuation computation over all hook lengths is its independent oracle.
 """
 
 from __future__ import annotations
 
 from math import comb, factorial, prod
+from operator import add, mul
 
 from .partitions import (
     Partition,
     _hook_lengths,
     conjugate,
-    divisible_hooks,
-    e_core,
-    p_adic_expansion,
     require_prime,
 )
 
@@ -104,26 +105,44 @@ def is_pprime_oracle(lam: Partition, p: int) -> bool:
 
 
 def is_pprime_macdonald(lam: Partition, p: int) -> bool:
-    """Recursive p'-degree test (Macdonald).
+    """p'-degree test by Macdonald's criterion, on the beta-set abacus.
 
-    Strip the top base-p layer: with p^k the largest p-power <= n and a
-    its digit, lam has p'-degree iff lam has exactly a hooks divisible
-    by p^k and the p^k-core again has p'-degree.  A partition of n < p
-    is always p'-degree since p does not divide n!.
+    lam has p'-degree iff, for every e = p^j <= n, its e-core has size
+    n mod e.  (Stripping the top base-p layer of n, a * p^k, leaves the
+    p^k-core; the p^j-core of that core is the p^j-core of lam, so the
+    recursive form of the criterion is this check at every level.)  The
+    e-weight (n - |core_e|) / e is the number of hooks divisible by e
+    (James-Kerber 2.7.40), and |core_e| needs only the bead counts c_r
+    of lam's beta-set beta_i = lam_i + len(lam) - 1 - i on e runners:
+    pushing every bead up gives sum_r (r c_r + e c_r (c_r - 1) / 2)
+    minus len(lam) (len(lam) - 1) / 2.  The counts for e / p are the
+    counts for e folded onto e / p runners.  One pass over the beads and
+    O(p^k) arithmetic after it; a partition of n < p always has
+    p'-degree since p does not divide n!.
     """
     require_prime(p)
-    cur = lam
-    n = cur.n
-    while n >= p:
-        e = p
-        while e * p <= n:
-            e *= p
-        a = n // e
-        if len(divisible_hooks(cur, e)) != a:
+    n = lam.n
+    if n < p:
+        return True
+    parts = lam.parts
+    ell = len(parts)
+    e = p
+    while e * p <= n:
+        e *= p
+    counts = [0] * e
+    for b in map(add, parts, range(ell - 1, -1, -1)):
+        counts[b % e] += 1
+    offset = ell * (ell - 1) // 2
+    while True:
+        # sum_r c_r (c_r - 1) / 2 = (sum_r c_r^2 - ell) / 2
+        squares = sum(map(mul, counts, counts))
+        size = sum(map(mul, range(e), counts)) + e * (squares - ell) // 2 - offset
+        if size != n % e:
             return False
-        cur = e_core(cur, e)
-        n = cur.n
-    return True
+        if e == p:
+            return True
+        e //= p
+        counts = [sum(counts[r::e]) for r in range(e)]
 
 
 def binomial_coprime_lucas(n: int, k: int, p: int) -> bool:

@@ -26,7 +26,6 @@ from math import factorial, prod
 
 from .degrees import degree, factorial_valuation, hook_degree, is_pprime_macdonald
 from .partitions import (
-    DEFAULT_ENUMERATION_BOUND,
     Partition,
     _conjugate_parts,
     _hook_lengths,
@@ -364,10 +363,7 @@ def _constructive_ext_degrees(n: int, p: int) -> set[int]:
             degs.add(hook_degree(n, x))
     for c in (2, 3):
         if n >= 4 + c:
-            for t in range(0, n - 2 * c + 1):
-                lam = quasihook(n, c, t)
-                if is_pprime_macdonald(lam, p) and not is_self_conjugate(lam):
-                    degs.add(degree(lam))
+            degs |= _quasihook_witnesses(n, p, c)
     digits = p_adic_expansion(n, p).digits
     if (
         len(digits) == 3
@@ -393,13 +389,16 @@ class AnBoundResult:
     method: str
 
 
-def _quasihook_witnesses(n: int, p: int, c: int, need: int) -> set[int]:
+def _quasihook_witnesses(n: int, p: int, c: int, need: int | None = None) -> set[int]:
+    """Degrees of the p'-degree, non-self-conjugate quasihooks
+    (n-c-t, c, 1^t), by increasing t; stops once ``need`` are found
+    (None: every leg length)."""
     out: set[int] = set()
     for t in range(0, n - 2 * c + 1):
         lam = quasihook(n, c, t)
         if is_pprime_macdonald(lam, p) and not is_self_conjugate(lam):
             out.add(degree(lam))
-            if len(out) >= need:
+            if len(out) == need:
                 break
     return out
 
@@ -420,14 +419,41 @@ def _row_extension_degrees(n: int, p: int) -> set[int]:
     return out
 
 
+def _an_bound_case(n: int, p: int) -> str:
+    """Which family certifies the A_n bound at (n, p); computes no degree.
+
+    With n = sum_j a_j p^{n_j} (nonzero digits, increasing exponents),
+    the p'-hook count is a_1 p^{n_1} prod_{j >= 2} (a_j + 1).  If it is
+    at least 6, the short-leg hooks already give three degrees.  Below 6
+    (n >= 7, p >= 5), n_1 >= 1 would need a_1 p^{n_1} = 5 with no other
+    digit, i.e. n = 5; so n_1 = 0, and a single digit would make the
+    count n >= 7.  Every further digit multiplies the count by at least
+    2, so a_1 (a_2 + 1) <= 5 leaves 1 + a p^k (a <= 4) and 2 + p^k, and
+    a_1 (a_2 + 1) (a_3 + 1) <= 5 leaves 1 + p^k + p^h; four digits give
+    at least 8.  No other shape is reachable.
+    """
+    if count_pprime_hooks_formula(n, p) >= 6:
+        return "hooks"
+    digits = p_adic_expansion(n, p).digits
+    if len(digits) == 2 and digits[0] == (1, 0):
+        return "1+a*p^k"
+    if len(digits) == 2 and digits[0] == (2, 0) and digits[1][0] == 1:
+        return "2+p^k"
+    if len(digits) == 3 and digits[0] == (1, 0) and digits[1][0] == digits[2][0] == 1:
+        return "1+p^k+p^h"
+    raise AssertionError(f"n = {n} has p'-hook count below 6 for p = {p} "
+                         f"but none of the base-{p} shapes it forces")
+
+
 def verify_An_bound(n: int, p: int) -> AnBoundResult:
     """Certify >= 3 distinct extendable p'-degrees of A_n (n >= 7, p > 3).
 
     Generic case: floor(count/2) >= 3 and the short-leg p'-hooks give
     distinct degrees directly.  The remaining base-p shapes of n
-    (1 + a p^k, 2 + p^k, 1 + p^k + p^h) use the quasihook and
-    row-extension families; every constructed witness is re-checked
-    p'-degree and non-self-conjugate rather than trusted.
+    (1 + a p^k, 2 + p^k, 1 + p^k + p^h; ``_an_bound_case`` shows there
+    are no others) use the quasihook and row-extension families; every
+    constructed witness is re-checked p'-degree and non-self-conjugate
+    rather than trusted.
     """
     if not isinstance(n, int) or isinstance(n, bool) or n < 7:
         raise ValueError(f"expected an integer n >= 7, got {n!r}")
@@ -435,7 +461,8 @@ def verify_An_bound(n: int, p: int) -> AnBoundResult:
     if p <= 3:
         raise ValueError(f"expected a prime p > 3, got {p}")
 
-    if count_pprime_hooks_formula(n, p) // 2 >= 3:
+    case = _an_bound_case(n, p)
+    if case == "hooks":
         wits: set[int] = set()
         for x in pprime_hook_xs(n, p):
             if 2 * x < n - 1:
@@ -444,29 +471,17 @@ def verify_An_bound(n: int, p: int) -> AnBoundResult:
                     break
         return AnBoundResult(len(wits) >= 3, tuple(sorted(wits)), "hook-degrees")
 
-    digits = p_adic_expansion(n, p).digits
-    if len(digits) == 2 and digits[0] == (1, 0):
+    if case == "1+a*p^k":
         wits = {1} | _quasihook_witnesses(n, p, 2, 2)
         method = "quasihook-row2"
-    elif len(digits) == 2 and digits[0] == (2, 0) and digits[1][0] == 1:
-        if p ** digits[1][1] == 5:
-            wits = scan_ext_degree_sets(n, (p,))[p]
-            method = "direct-scan"
-        else:
-            wits = {1} | _quasihook_witnesses(n, p, 3, 2)
-            method = "quasihook-row3"
-    elif (
-        len(digits) == 3
-        and digits[0] == (1, 0)
-        and digits[1][0] == 1
-        and digits[2][0] == 1
-    ):
-        wits = {1} | _row_extension_degrees(n, p)
-        method = "row-extension"
-    elif n <= DEFAULT_ENUMERATION_BOUND:
+    elif case == "2+p^k" and n == 7:  # p^k = 5
         wits = scan_ext_degree_sets(n, (p,))[p]
         method = "direct-scan"
+    elif case == "2+p^k":
+        wits = {1} | _quasihook_witnesses(n, p, 3, 2)
+        method = "quasihook-row3"
     else:
-        return AnBoundResult(False, (), "unclassified")
+        wits = {1} | _row_extension_degrees(n, p)
+        method = "row-extension"
 
     return AnBoundResult(len(wits) >= 3, tuple(sorted(wits))[:3], method)

@@ -212,6 +212,30 @@ class TestErrorsAndDeterminism:
             outputs.add(out)
         assert len(outputs) == 1
 
+    def test_parser_reuse(self, capsys):
+        # a bad-usage call, then valid calls of alternating subcommands, all
+        # through the one cached parser: each gives what a fresh parser gives
+        calls = [
+            ("hooks", "--n", "7"),
+            ("count", "--n", "7", "--p", "5"),
+            ("degrees", "--partition", "3,1,1", "--p", "5", "--format", "csv"),
+            ("frobnicate",),
+            ("verify-an", "--n-max", "9", "--primes", "5,7", "--format", "json"),
+            ("hooks", "--n", "7", "--p", "5"),
+            ("degrees", "--n", "4", "--p", "5", "--all"),
+            ("count", "--n", "7", "--p", "6"),
+            ("ctbl", "--bundled", "A5", "--p", "5"),
+        ]
+        fresh = []
+        for argv in calls:
+            cli.build_parser.cache_clear()
+            fresh.append(run(capsys, *argv))
+        assert [code for code, _, _ in fresh] == [1, 0, 0, 1, 0, 0, 0, 1, 0]
+        parser = cli.build_parser()
+        for _ in range(2):
+            assert [run(capsys, *argv) for argv in calls] == fresh
+        assert cli.build_parser() is parser
+
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     def test_byte_identical_across_hash_seeds(self, fmt):
         # degree sets pass through hashing; output must not depend on it

@@ -1,5 +1,5 @@
 """Character degrees: hook-length formula values, valuations, and the
-agreement of the recursive p'-test with the valuation oracle."""
+agreement of the abacus p'-test with the valuation oracle."""
 
 from math import comb, factorial
 
@@ -19,7 +19,7 @@ from ppcd.degrees import (
     is_pprime_macdonald,
     is_pprime_oracle,
 )
-from ppcd.hooks import pprime_hook_xs
+from ppcd.hooks import pprime_hook_xs, quasihook
 from ppcd.partitions import Partition, conjugate, enumerate_partitions
 
 from test_partitions import partitions
@@ -113,6 +113,31 @@ class TestPPrimeTests:
     def test_small_n_always_pprime(self):
         for lam in enumerate_partitions(4):
             assert is_pprime_macdonald(lam, 5)
+
+
+class TestAbacusPPrimeTest:
+    """The abacus form of Macdonald's test against the valuation oracle."""
+
+    @pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 13, 29, 31])
+    def test_every_partition_up_to_30(self, p):
+        # p <= 3 runs many levels; p > 30 exercises the n < p shortcut
+        for n in range(0, 31):
+            for lam in enumerate_partitions(n):
+                assert is_pprime_macdonald(lam, p) == is_pprime_oracle(lam, p), (lam, p)
+
+    @given(partitions(max_n=80), st.sampled_from((2, 3, 5, 7, 11, 13, 29, 31, 79)))
+    @settings(max_examples=300, deadline=None)
+    def test_sampled_up_to_80(self, lam, p):
+        assert is_pprime_macdonald(lam, p) == is_pprime_oracle(lam, p)
+
+    @pytest.mark.parametrize("p", PRIMES)
+    def test_quasihooks_of_the_constructive_grid(self, p):
+        # every (n-c-t, c, 1^t) that verify-an visits above its scan bound
+        for n in range(7, 101):
+            for c in (2, 3):
+                for t in range(n - 2 * c + 1):
+                    lam = quasihook(n, c, t)
+                    assert is_pprime_macdonald(lam, p) == is_pprime_oracle(lam, p), (lam, p)
 
 
 class TestLucas:

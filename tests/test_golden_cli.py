@@ -1,0 +1,114 @@
+"""Golden CLI corpus: exit code and stdout/stderr digests per command.
+
+Every entry of ``CORPUS`` runs in process through ``cli.main`` into
+hashing sinks, and its exit code and the sha256 of its stdout and of its
+stderr must equal the record in ``golden_cli.json``.  A change that
+moves any output byte of these commands fails here.  Re-record (only
+when an output change is intended, and say so in CHANGES.md) with
+
+    PYTHONPATH=src python tests/test_golden_cli.py --record
+
+An argv token ``{data}`` stands for the package's bundled-table
+directory, so the ``ctbl --file`` example runs from any checkout.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import json
+import sys
+from functools import lru_cache
+from importlib import resources
+from pathlib import Path
+
+import pytest
+
+from ppcd import cli
+
+GOLDEN = Path(__file__).with_name("golden_cli.json")
+
+
+CORPUS: list[list[str]] = [
+    # README examples
+    ["count", "--n", "7", "--p", "5"],
+    ["degrees", "--partition", "3,1,1", "--p", "5"],
+    ["degrees", "--n", "6", "--p", "5", "--all"],
+    ["hooks", "--n", "7", "--p", "5"],
+    ["verify-an", "--n-max", "20", "--primes", "5"],
+    ["verify-lie", "--q-max", "27", "--p-max", "97"],
+    ["lie-pair", "--family", "PSp4", "--q", "5", "--p", "13"],
+    ["lie-pair", "--family", "Suzuki", "--q", "32", "--p", "31"],
+    ["ctbl", "--bundled", "A5", "--p", "5"],
+    ["ctbl", "--file", "{data}/a6.json", "--p", "7"],
+    # p'-hook lists around the first base-p carries and at large n
+    *(["hooks", "--n", str(n), "--p", str(p)]
+      for p in (5, 13) for n in (1, p - 1, p, p + 1, 5000)),
+    # counts at large n
+    ["count", "--n", "1999", "--p", "7"],
+    ["count", "--n", "20000", "--p", "5"],
+    ["count", "--n", "20000", "--p", "13"],
+    # the A_n grid: exact sets, both formats, and the constructive path
+    ["verify-an", "--n-max", "20"],
+    ["verify-an", "--n-max", "20", "--format", "json"],
+    ["verify-an", "--n-max", "60", "--exact-bound", "0"],
+    # a many-level p'-test
+    ["degrees", "--partition", "5,3,3,1", "--p", "2", "--format", "csv"],
+    # bad usage and precondition failures: exit 1, JSON record on stderr
+    ["hooks", "--n", "7"],
+    ["hooks", "--n", "7", "--p", "4"],
+]
+
+
+class _HashSink:
+    """Text stream that keeps only the sha256 of what was written."""
+
+    def __init__(self):
+        self._hash = hashlib.sha256()
+
+    def write(self, text: str) -> int:
+        self._hash.update(text.encode())
+        return len(text)
+
+    def flush(self) -> None:
+        pass
+
+    def hexdigest(self) -> str:
+        return self._hash.hexdigest()
+
+
+def _resolve(argv: list[str]) -> list[str]:
+    data = str(resources.files("ppcd").joinpath("data"))
+    return [tok.replace("{data}", data) for tok in argv]
+
+
+def run_entry(argv: list[str]) -> dict:
+    out, err = _HashSink(), _HashSink()
+    saved = sys.stdout, sys.stderr
+    sys.stdout, sys.stderr = out, err
+    try:
+        code = cli.main(_resolve(argv))
+    finally:
+        sys.stdout, sys.stderr = saved
+    return {"argv": argv, "exit": code, "stdout_sha256": out.hexdigest(),
+            "stderr_sha256": err.hexdigest()}
+
+
+@lru_cache(maxsize=1)
+def _records() -> list[dict]:
+    return json.loads(GOLDEN.read_text())
+
+
+def test_corpus_matches_record():
+    assert [entry["argv"] for entry in _records()] == CORPUS
+
+
+@pytest.mark.parametrize("index", range(len(CORPUS)), ids=[" ".join(a) for a in CORPUS])
+def test_golden(index):
+    assert run_entry(CORPUS[index]) == _records()[index]
+
+
+if __name__ == "__main__":
+    if sys.argv[1:] != ["--record"]:
+        raise SystemExit("usage: python tests/test_golden_cli.py --record")
+    records = [run_entry(argv) for argv in CORPUS]
+    GOLDEN.write_text("[\n" + ",\n".join(json.dumps(r) for r in records) + "\n]\n")

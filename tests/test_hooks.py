@@ -5,6 +5,7 @@ import pytest
 from ppcd.degrees import degree, is_pprime_macdonald, is_pprime_oracle
 from ppcd.hooks import (
     DEFAULT_SCAN_BOUND,
+    _an_bound_case,
     SCAN_BOUND_ENV,
     count_pprime_hooks_formula,
     ext_pprime_degree_set,
@@ -21,7 +22,13 @@ from ppcd.hooks import (
     verify_An_bound,
     verify_hook_counts,
 )
-from ppcd.partitions import Partition, conjugate, enumerate_partitions, is_self_conjugate
+from ppcd.partitions import (
+    Partition,
+    conjugate,
+    enumerate_partitions,
+    is_prime,
+    is_self_conjugate,
+)
 
 PRIMES = (5, 7, 11, 13)
 
@@ -238,6 +245,14 @@ class TestAnBound:
         for n in range(7, 61):
             for p in PRIMES:
                 assert verify_An_bound(n, p).ok
+
+    def test_every_case_is_handled(self):
+        # the base-p shape argument of _an_bound_case, checked without
+        # computing a degree: no (n, p) falls outside the four cases
+        seen = {_an_bound_case(n, p)
+                for p in range(5, 98) if is_prime(p)
+                for n in range(7, 2000)}
+        assert seen == {"hooks", "1+a*p^k", "2+p^k", "1+p^k+p^h"}
 
     def test_preconditions(self):
         with pytest.raises(ValueError):
