@@ -38,7 +38,6 @@ from .hooks import (
     layered_pprime_hooks,
     list_pprime_hooks,
     pprime_hook_xs,
-    pprime_partitions_small,
     quasihook,
     quasihook_monotone,
     scan_bound,
@@ -60,7 +59,6 @@ from .lie import (
     gl_order,
     nondivisibility_check,
     not_both_divisible,
-    pprime_part,
     qprime_part,
     semisimple_degree,
     steinberg_qpower,

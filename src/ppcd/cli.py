@@ -37,12 +37,35 @@ class _Parser(argparse.ArgumentParser):
         raise CliError(message)
 
 
-def _emit(line: str, stream) -> None:
-    print(line, file=stream)
+def _json_default(value):
+    if isinstance(value, Fraction):
+        return str(value)
+    raise TypeError(f"{type(value).__name__} is not a row value")
 
 
-def _emit_json(obj, stream) -> None:
-    print(json.dumps(obj), file=stream)
+_ROW_ENCODER = json.JSONEncoder(default=_json_default)
+
+
+def _emit_rows(rows, fmt: str, out) -> None:
+    """Write each row dict as a JSON object or as one CSV line.
+
+    CSV takes the values in key order: booleans as true/false, a list
+    (a partition) quoted as "4,1", everything else, Fractions included,
+    as ``str``; JSON writes Fractions the same way.
+    """
+    write = out.write
+    if fmt == "json":
+        encode = _ROW_ENCODER.encode
+        for row in rows:
+            write(encode(row) + "\n")
+        return
+    for row in rows:
+        write(",".join([
+            ("true" if v else "false") if v.__class__ is bool
+            else '"' + ",".join(map(str, v)) + '"' if v.__class__ is list
+            else str(v)
+            for v in row.values()
+        ]) + "\n")
 
 
 def _fail(record: dict) -> None:
@@ -59,14 +82,6 @@ def _parse_primes(text: str) -> tuple[int, ...]:
     return primes
 
 
-def _fraction_str(value: Fraction) -> str:
-    return str(value.numerator) if value.denominator == 1 else f"{value.numerator}/{value.denominator}"
-
-
-def _bool_str(flag: bool) -> str:
-    return "true" if flag else "false"
-
-
 # -- subcommands --------------------------------------------------------------
 
 
@@ -78,7 +93,7 @@ def cmd_hooks(args, out) -> int:
     # Partition built and no n integers per hook for json.dumps to encode
     head = json.dumps({"n": n, "p": p, "count": len(xs), "formula": formula})
     rows = ", ".join("[" + str(n - x) + ", 1" * x + "]" for x in xs)
-    _emit(head[:-1] + ', "hooks": [' + rows + "]}", out)
+    out.write(head[:-1] + ', "hooks": [' + rows + "]}\n")
     if formula != len(xs):
         _fail({"violation": "hook-count", "n": n, "p": p,
                "formula": formula, "enumerated": len(xs)})
@@ -103,35 +118,23 @@ def cmd_degrees(args, out) -> int:
         lam = Partition.from_string(args.partition)
         if args.n is not None and args.n != lam.n:
             raise CliError(f"--n {args.n} does not match |{lam}| = {lam.n}")
-        row = _degree_row(lam, args.p)
-        if args.format == "csv":
-            _emit(",".join(['"' + str(lam) + '"', row["degree"],
-                            str(row["valuation"]), _bool_str(row["pprime"])]), out)
-        else:
-            _emit_json(row, out)
-        return 0
-    if args.n is None:
+        lams = [lam]
+    elif args.n is None:
         raise CliError("--all needs --n")
-    for lam in enumerate_partitions(args.n):
-        row = _degree_row(lam, args.p)
-        if args.format == "csv":
-            _emit(",".join(['"' + str(lam) + '"', row["degree"],
-                            str(row["valuation"]), _bool_str(row["pprime"])]), out)
-        else:
-            _emit_json(row, out)
+    else:
+        lams = enumerate_partitions(args.n)
+    _emit_rows((_degree_row(lam, args.p) for lam in lams), args.format, out)
     return 0
 
 
 def cmd_count(args, out) -> int:
-    formula = hooks_mod.count_pprime_hooks_formula(args.n, args.p)
-    xs = hooks_mod.pprime_hook_xs(args.n, args.p)
-    layered = hooks_mod._layered_first_parts(args.n, args.p)
-    sets_match = [args.n - x for x in reversed(xs)] == list(layered)
-    agree = formula == len(xs) == len(layered) and sets_match
-    _emit_json({"formula": formula, "enumerated": len(xs), "agree": agree}, out)
-    if not agree:
+    row = hooks_mod.hook_count_row(args.n, args.p)
+    _emit_rows([{"formula": row["formula"], "enumerated": row["filtered"],
+                 "agree": row["ok"]}], "json", out)
+    if not row["ok"]:
         _fail({"violation": "hook-count", "n": args.n, "p": args.p,
-               "formula": formula, "enumerated": len(xs), "layered": len(layered)})
+               "formula": row["formula"], "enumerated": row["filtered"],
+               "layered": row["layered"]})
         return 2
     return 0
 
@@ -161,14 +164,9 @@ def cmd_verify_an(args, out) -> int:
                 violations.append({"n": n, "p": p, "formula": formula,
                                    "enumerated": enum, "bound_ok": bound_ok,
                                    "witnesses": list(result.witnesses)})
-            rows.append((n, p, formula, enum, ext_found, bound_ok))
-    for n, p, formula, enum, ext_found, bound_ok in rows:
-        if args.format == "json":
-            _emit_json({"n": n, "p": p, "count_formula": formula,
-                        "count_enum": enum, "ext_degrees_found": ext_found,
-                        "bound_ok": bound_ok}, out)
-        else:
-            _emit(f"{n},{p},{formula},{enum},{ext_found},{_bool_str(bound_ok)}", out)
+            rows.append({"n": n, "p": p, "count_formula": formula, "count_enum": enum,
+                         "ext_degrees_found": ext_found, "bound_ok": bound_ok})
+    _emit_rows(rows, args.format, out)
     if violations:
         _fail({"violation": "an-bound", "first": violations[0],
                "total": len(violations)})
@@ -182,21 +180,13 @@ def cmd_verify_lie(args, out) -> int:
         rows = lie_mod.classical_grid(args.q_max, args.p_max, families, args.rank_max)
     except ValueError as exc:
         raise CliError(str(exc)) from None
-    bad = None
-    for row in rows:
-        d1 = _fraction_str(row["d1"])
-        d2 = _fraction_str(row["d2"])
-        if args.format == "json":
-            _emit_json({"family": row["family"], "n": row["n"], "q": row["q"],
-                        "p": row["p"], "d1": d1, "d2": d2, "ok": row["ok"]}, out)
-        else:
-            _emit(f"{row['family']},{row['n']},{row['q']},{row['p']},{d1},{d2},{_bool_str(row['ok'])}", out)
-        if not row["ok"] and bad is None:
-            bad = row
+    # the grid's keys are already the columns, in order
+    _emit_rows(rows, args.format, out)
+    bad = next((row for row in rows if not row["ok"]), None)
     if bad is not None:
         _fail({"violation": "lie-not-both-divisible", "family": bad["family"],
                "n": bad["n"], "q": bad["q"], "p": bad["p"],
-               "d1": _fraction_str(bad["d1"]), "d2": _fraction_str(bad["d2"])})
+               "d1": str(bad["d1"]), "d2": str(bad["d2"])})
         return 2
     return 0
 
@@ -210,22 +200,12 @@ def cmd_lie_pair(args, out) -> int:
         "p": record.p,
         "case": record.case,
         "degrees": [d1, d2],
-        "chi1": {
-            "degree": d1,
-            "origin": record.chi1.origin,
-            "extends_to_aut": record.chi1.extends_to_aut,
-            "p_group_invariant": record.chi1.p_group_invariant,
-        },
-        "chi2": {
-            "degree": d2,
-            "origin": record.chi2.origin,
-            "extends_to_aut": record.chi2.extends_to_aut,
-            "p_group_invariant": record.chi2.p_group_invariant,
-        },
+        "chi1": vars(record.chi1),
+        "chi2": vars(record.chi2),
         "nondivisibility_ok": lie_mod.nondivisibility_check(d1, d2, record.p),
         "contract_regime": lie_mod.in_contract_regime(record.family, record.q, record.p),
     }
-    _emit_json(payload, out)
+    _emit_rows([payload], "json", out)
     if payload["contract_regime"] and not payload["nondivisibility_ok"]:
         _fail({"violation": "nondivisibility", "family": record.family,
                "q": record.q, "p": record.p, "d1": d1, "d2": d2})
@@ -247,13 +227,13 @@ def cmd_ctbl(args, out) -> int:
         table = ctbl_mod.bundled_table(args.bundled)
     full = sorted(ctbl_mod.cd(table))
     coprime = sorted(ctbl_mod.cd_pprime(table, args.p))
-    _emit_json({
+    _emit_rows([{
         "name": table.name,
         "p": args.p,
         "cd": full,
         "cd_pprime": coprime,
         "sizes": {"cd": len(full), "cd_pprime": len(coprime)},
-    }, out)
+    }], "json", out)
     return 0
 
 

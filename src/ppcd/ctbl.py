@@ -14,7 +14,7 @@ import json
 from dataclasses import dataclass
 from importlib import resources
 
-from .partitions import is_prime, require_prime
+from .partitions import is_prime, require_int, require_prime
 
 __all__ = [
     "DegreeTable",
@@ -50,9 +50,8 @@ def _schema_error(message: str) -> ValueError:
 
 
 def _check_positive_int(value, what: str) -> int:
-    if not isinstance(value, int) or isinstance(value, bool) or value < 1:
-        raise _schema_error(f"{what} must be a positive integer, got {value!r}")
-    return value
+    message = f"degree-table schema violation: {what} must be a positive integer, got {{!r}}"
+    return require_int(value, 1, message)
 
 
 def load_degree_table(document: str) -> DegreeTable:
@@ -138,7 +137,7 @@ def cd_pprime(table: DegreeTable, p: int) -> set[int]:
 
 def pgl2_degree_set(p: int) -> set[int]:
     """Degree set {1, p-1, p, p+1} of PGL2(p) for a prime p > 5."""
-    if not isinstance(p, int) or isinstance(p, bool) or p <= 5 or not is_prime(p):
+    if not is_prime(require_int(p, 6, "expected a prime p > 5, got {!r}")):
         raise ValueError(f"expected a prime p > 5, got {p!r}")
     return {1, p - 1, p, p + 1}
 

@@ -34,6 +34,7 @@ from .partitions import (
     hook_partition,
     is_self_conjugate,
     p_adic_expansion,
+    require_int,
     require_prime,
 )
 
@@ -46,10 +47,10 @@ __all__ = [
     "ext_pprime_degree_set",
     "filter_ext_degree_sets",
     "halved_count_lower_bound",
+    "hook_count_row",
     "layered_pprime_hooks",
     "list_pprime_hooks",
     "pprime_hook_xs",
-    "pprime_partitions_small",
     "quasihook",
     "quasihook_monotone",
     "scan_bound",
@@ -173,35 +174,31 @@ def layered_pprime_hooks(n: int, p: int) -> list[Partition]:
     return [hook_partition(n, n - m) for m in reversed(first_parts)]
 
 
-def verify_hook_counts(n_max: int, primes: tuple[int, ...]) -> list[dict]:
-    """Cross-check formula vs binomial filter vs layered sets up to n_max.
+def hook_count_row(n: int, p: int, _sums: list[int] | None = None) -> dict:
+    """Formula vs binomial filter vs layered set of the p'-hooks of n.
 
-    Returns one row per (n, p) with the three counts and an ``ok`` flag
-    meaning all counts and both constructed sets agree.
+    The three counts, and an ``ok`` flag meaning all counts and both
+    constructed sets agree.  ``_sums`` is the digit-sum table of
+    ``pprime_hook_xs``, to share across many n.
     """
+    formula = count_pprime_hooks_formula(n, p)
+    xs = pprime_hook_xs(n, p, _sums)
+    layered = _layered_first_parts(n, p)
+    ok = (
+        formula == len(xs) == len(layered)
+        and [n - x for x in reversed(xs)] == list(layered)
+    )
+    return {"n": n, "p": p, "formula": formula, "filtered": len(xs),
+            "layered": len(layered), "ok": ok}
+
+
+def verify_hook_counts(n_max: int, primes: tuple[int, ...]) -> list[dict]:
+    """``hook_count_row`` for every n <= n_max and every prime given."""
     rows = []
     for p in primes:
         require_prime(p)
         sums = _digit_sums(max(n_max - 1, 0), p)
-        for n in range(1, n_max + 1):
-            xs = pprime_hook_xs(n, p, sums)
-            layered = _layered_first_parts(n, p)
-            formula = count_pprime_hooks_formula(n, p)
-            filtered_parts = [n - x for x in reversed(xs)]
-            ok = (
-                formula == len(xs) == len(layered)
-                and filtered_parts == list(layered)
-            )
-            rows.append(
-                {
-                    "n": n,
-                    "p": p,
-                    "formula": formula,
-                    "filtered": len(xs),
-                    "layered": len(layered),
-                    "ok": ok,
-                }
-            )
+        rows.extend(hook_count_row(n, p, sums) for n in range(1, n_max + 1))
     return rows
 
 
@@ -231,29 +228,6 @@ def quasihook_monotone(n: int, c: int, t: int) -> bool:
     if n < 4 + c or not (0 <= t <= (n - 4 - c) // 2):
         raise ValueError(f"leg length {t} out of monotone range for (n, c) = ({n}, {c})")
     return degree(quasihook(n, c, t)) < degree(quasihook(n, c, t + 1))
-
-
-def pprime_partitions_small(m: int, p: int) -> list[Partition]:
-    """All p'-degree partitions of m = 1 + p^k, k >= 1.
-
-    Exactly the quasihooks (p^k - t, 2, 1^{t-1}) for t = 1 .. p^k - 2
-    together with the row (m) and the column (1^m); descending
-    lexicographic order, matching the enumeration stream.
-    """
-    require_prime(p)
-    q = m - 1
-    if q < p or q % p:
-        raise ValueError(f"expected m = 1 + p^k with k >= 1, got m = {m}")
-    e = q
-    while e % p == 0:
-        e //= p
-    if e != 1:
-        raise ValueError(f"expected m = 1 + p^k with k >= 1, got m = {m}")
-    out = [Partition._from_valid((m,), m)]
-    for t in range(1, q - 1):
-        out.append(Partition._from_valid((q - t, 2) + (1,) * (t - 1), m))
-    out.append(Partition._from_valid((1,) * m, m))
-    return out
 
 
 def _valuation_table(limit: int, p: int) -> list[int]:
@@ -320,12 +294,7 @@ def filter_ext_degree_sets(n: int, primes: tuple[int, ...]) -> dict[int, set[int
         conj = _conjugate_parts(parts)
         if conj == parts:
             continue
-        hooks = []
-        append = hooks.append
-        for i, v in enumerate(parts):
-            base = v - i - 1
-            for j in range(v):
-                append(base - j + conj[j])
+        hooks = _hook_lengths(parts, conj)
         vals = [0] * k
         for h in hooks:
             for idx, v in nonzero[h]:
@@ -411,9 +380,8 @@ def _row_extension_degrees(n: int, p: int) -> set[int]:
     h = digits[2][1]
     step = p**h
     out: set[int] = set()
-    for gamma in pprime_partitions_small(1 + p**k, p):
-        parts = (gamma.parts[0] + step,) + gamma.parts[1:]
-        lam = Partition._from_valid(parts, n)
+    for gamma in _pprime_tuples(1 + p**k, p):
+        lam = Partition._from_valid((gamma[0] + step,) + gamma[1:], n)
         if is_pprime_macdonald(lam, p) and not is_self_conjugate(lam):
             out.add(degree(lam))
     return out
@@ -455,8 +423,7 @@ def verify_An_bound(n: int, p: int) -> AnBoundResult:
     constructed witness is re-checked p'-degree and non-self-conjugate
     rather than trusted.
     """
-    if not isinstance(n, int) or isinstance(n, bool) or n < 7:
-        raise ValueError(f"expected an integer n >= 7, got {n!r}")
+    require_int(n, 7, "expected an integer n >= 7, got {!r}")
     require_prime(p)
     if p <= 3:
         raise ValueError(f"expected a prime p > 3, got {p}")

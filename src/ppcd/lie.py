@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .partitions import is_prime, require_prime
+from .partitions import is_prime, require_int, require_prime
 
 __all__ = [
     "CentralizerSpec",
@@ -40,7 +40,6 @@ __all__ = [
     "in_contract_regime",
     "nondivisibility_check",
     "not_both_divisible",
-    "pprime_part",
     "prime_power_decomposition",
     "prime_powers_upto",
     "qprime_part",
@@ -59,8 +58,14 @@ class NonIntegralDegreeError(ArithmeticError):
 
 def prime_power_decomposition(q: int) -> tuple[int, int] | None:
     """(r, a) with q = r^a and r prime, or None."""
-    if not isinstance(q, int) or isinstance(q, bool) or q < 2:
+    try:
+        return require_prime_power(q)
+    except ValueError:
         return None
+
+
+def require_prime_power(q: int) -> tuple[int, int]:
+    require_int(q, 2, "expected a prime power >= 2, got {!r}")
     r = q
     for f in range(2, q):
         if f * f > q:
@@ -73,14 +78,9 @@ def prime_power_decomposition(q: int) -> tuple[int, int] | None:
     while m % r == 0:
         m //= r
         a += 1
-    return (r, a) if m == 1 else None
-
-
-def require_prime_power(q: int) -> tuple[int, int]:
-    dec = prime_power_decomposition(q)
-    if dec is None:
+    if m != 1:
         raise ValueError(f"expected a prime power >= 2, got {q!r}")
-    return dec
+    return r, a
 
 
 def prime_powers_upto(limit: int, *, minimum: int = 2) -> list[int]:
@@ -158,23 +158,17 @@ def eval_formula(f: DegreeFormula, q: int) -> int:
 def qprime_part(N: int, r: int) -> int:
     """N with every factor of the prime r removed."""
     require_prime(r)
-    if not isinstance(N, int) or isinstance(N, bool) or N < 1:
-        raise ValueError(f"expected a positive integer, got {N!r}")
+    require_int(N, 1, "expected a positive integer, got {!r}")
     while N % r == 0:
         N //= r
     return N
-
-
-# same operation, p'-part naming
-pprime_part = qprime_part
 
 
 def gl_order(n: int, eps: int, q: int) -> int:
     """|GL_n(q)| for eps = +1, |GU_n(q)| for eps = -1."""
     if eps not in (1, -1):
         raise ValueError(f"sign must be +1 or -1, got {eps!r}")
-    if not isinstance(n, int) or isinstance(n, bool) or n < 1:
-        raise ValueError(f"rank must be a positive integer, got {n!r}")
+    require_int(n, 1, "rank must be a positive integer, got {!r}")
     require_prime_power(q)
     order = q ** (n * (n - 1) // 2)
     for i in range(1, n + 1):
@@ -342,18 +336,25 @@ def steinberg_qpower(family: str, n: int) -> int:
     return n * (n - 1)
 
 
-def _check_q_parity(family: str, n: int, q: int) -> None:
-    fam = CLASSICAL_FAMILY_ALIASES.get(family, family)
+def _q_parity_error(fam: str, n: int, q: int) -> str | None:
+    """Why the row of (canonical family, rank) does not take q, or None."""
     if fam == "B" and n == 2 and q % 2 == 0:
-        raise ValueError("the rank-2 B/C row needs odd q; use B2-even instead")
+        return "the rank-2 B/C row needs odd q; use B2-even instead"
     if fam == "B2-even" and q % 2 == 1:
-        raise ValueError("the B2-even row needs even q")
+        return "the B2-even row needs even q"
+    return None
 
 
-def _divisible(value: Fraction, p: int) -> bool:
-    if value.denominator % p == 0:
-        raise ArithmeticError(f"prime {p} in the denominator of {value}")
-    return value.numerator % p == 0
+def _pair_not_both_divisible(d1: Fraction, d2: Fraction, p: int) -> bool:
+    """Whether p fails to divide d1 or d2, tested in that order; p in the
+    denominator of a tested value is an error."""
+    if d1.denominator % p == 0:
+        raise ArithmeticError(f"prime {p} in the denominator of {d1}")
+    if d1.numerator % p:
+        return True
+    if d2.denominator % p == 0:
+        raise ArithmeticError(f"prime {p} in the denominator of {d2}")
+    return d2.numerator % p != 0
 
 
 def not_both_divisible(family: str, n: int, q: int, p: int) -> bool:
@@ -368,11 +369,11 @@ def not_both_divisible(family: str, n: int, q: int, p: int) -> bool:
     require_prime_power(q)
     if q % p == 0:
         raise ValueError(f"p = {p} must not divide q = {q}")
-    _check_q_parity(family, n, q)
+    parity_error = _q_parity_error(CLASSICAL_FAMILY_ALIASES.get(family, family), n, q)
+    if parity_error:
+        raise ValueError(parity_error)
     f1, f2 = classical_unipotent_pair(family, n)
-    d1 = f1.evaluate_rational(q)
-    d2 = f2.evaluate_rational(q)
-    return not (_divisible(d1, p) and _divisible(d2, p))
+    return _pair_not_both_divisible(f1.evaluate_rational(q), f2.evaluate_rational(q), p)
 
 
 def classical_grid(
@@ -397,16 +398,14 @@ def classical_grid(
         for n in range(lo, top + 1):
             formulas = classical_unipotent_pair(fam, n)
             for q in qs:
-                if fam == "B" and n == 2 and q % 2 == 0:
-                    continue
-                if fam == "B2-even" and q % 2 == 1:
+                if _q_parity_error(fam, n, q):
                     continue
                 d1 = formulas[0].evaluate_rational(q)
                 d2 = formulas[1].evaluate_rational(q)
                 for p in ps:
                     if q % p == 0:
                         continue
-                    ok = not (_divisible(d1, p) and _divisible(d2, p))
+                    ok = _pair_not_both_divisible(d1, d2, p)
                     rows.append(
                         {
                             "family": family,
@@ -469,20 +468,11 @@ class ExceptionalPairRecord:
         return (self.chi1.degree, self.chi2.degree)
 
 
-def _split_exponent(a: int, p: int) -> tuple[int, int]:
-    """a = p^b * m with p not dividing m."""
-    b = 0
-    while a % p == 0:
-        a //= p
-        b += 1
-    return b, a
-
-
 def _psl2_record(q: int, p: int) -> ExceptionalPairRecord:
     r, a = require_prime_power(q)
     if q < 4:
         raise ValueError(f"PSL2({q}) is not simple")
-    _, m = _split_exponent(a, p)
+    m = qprime_part(a, p)
     square = a % 2 == 0
     if p == r:
         # defining characteristic: semisimple pairs from rank-1 tori

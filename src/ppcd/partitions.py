@@ -40,6 +40,7 @@ __all__ = [
     "is_prime",
     "is_self_conjugate",
     "p_adic_expansion",
+    "require_int",
     "require_prime",
 ]
 
@@ -62,8 +63,19 @@ def is_prime(n: int) -> bool:
     return True
 
 
+def require_int(x, lo: int, message: str, shown=None) -> int:
+    """x, if it is an int (a bool is not) with x >= lo; else ValueError.
+
+    The error text is ``message.format(shown)``, shown defaulting to x,
+    so a ``{!r}`` in the message is only rendered on failure.
+    """
+    if isinstance(x, int) and not isinstance(x, bool) and x >= lo:
+        return x
+    raise ValueError(message.format(x if shown is None else shown))
+
+
 def require_prime(p: int) -> int:
-    if not isinstance(p, int) or isinstance(p, bool) or not is_prime(p):
+    if not is_prime(require_int(p, 2, "expected a prime, got {!r}")):
         raise ValueError(f"expected a prime, got {p!r}")
     return p
 
@@ -84,8 +96,7 @@ class Partition:
         parts = tuple(parts)
         prev = None
         for x in parts:
-            if not isinstance(x, int) or isinstance(x, bool) or x < 1:
-                raise ValueError(f"parts must be positive integers: {parts!r}")
+            require_int(x, 1, "parts must be positive integers: {!r}", parts)
             if prev is not None and x > prev:
                 raise ValueError(f"parts must be weakly decreasing: {parts!r}")
             prev = x
@@ -195,9 +206,7 @@ def divisible_hooks(lam: Partition, e: int) -> tuple[int, ...]:
 
 
 def _require_core_modulus(e: int) -> int:
-    if not isinstance(e, int) or isinstance(e, bool) or e < 2:
-        raise ValueError(f"hook modulus must be an integer >= 2, got {e!r}")
-    return e
+    return require_int(e, 2, "hook modulus must be an integer >= 2, got {!r}")
 
 
 def e_core(lam: Partition, e: int) -> Partition:
@@ -294,8 +303,7 @@ class PAdicExpansion:
 def p_adic_expansion(n: int, p: int) -> PAdicExpansion:
     """Base-p digits of n >= 0, least significant first, zeros omitted."""
     require_prime(p)
-    if not isinstance(n, int) or isinstance(n, bool) or n < 0:
-        raise ValueError(f"expected a non-negative integer, got {n!r}")
+    require_int(n, 0, "expected a non-negative integer, got {!r}")
     digits = []
     k = 0
     while n:
@@ -392,8 +400,7 @@ def _pprime_tuples(n: int, p: int) -> Iterator[tuple[int, ...]]:
 
 def enumerate_partitions(n: int, *, bound: int = DEFAULT_ENUMERATION_BOUND) -> Iterator[Partition]:
     """Every partition of n exactly once, descending lexicographic order."""
-    if not isinstance(n, int) or isinstance(n, bool) or n < 0:
-        raise ValueError(f"expected a non-negative integer, got {n!r}")
+    require_int(n, 0, "expected a non-negative integer, got {!r}")
     if n > bound:
         raise ValueError(f"n = {n} exceeds the partition scan bound {bound}")
     return (Partition._from_valid(parts, n) for parts in _partition_tuples(n))
@@ -401,8 +408,7 @@ def enumerate_partitions(n: int, *, bound: int = DEFAULT_ENUMERATION_BOUND) -> I
 
 def hook_partition(n: int, x: int) -> Partition:
     """The hook (n - x, 1^x)."""
-    if not isinstance(n, int) or isinstance(n, bool) or n < 1:
-        raise ValueError(f"expected a positive integer, got {n!r}")
+    require_int(n, 1, "expected a positive integer, got {!r}")
     if not (0 <= x <= n - 1):
         raise ValueError(f"leg length {x} out of range for n = {n}")
     return Partition._from_valid((n - x,) + (1,) * x, n)

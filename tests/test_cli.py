@@ -1,9 +1,11 @@
 """CLI surface: subcommand outputs, exit codes, byte determinism."""
 
+import io
 import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -189,6 +191,39 @@ class TestCtbl:
     def test_needs_exactly_one_source(self, capsys):
         code, _, _ = run(capsys, "ctbl", "--p", "5")
         assert code == 1
+
+
+class TestEmitRows:
+    ROWS = [{"family": "B2-even", "n": 2, "q": 4, "d1": Fraction(25, 2),
+             "d2": Fraction(9), "partition": [4, 1], "ok": True},
+            {"family": "A", "n": 4, "q": 5, "d1": Fraction(31), "d2": Fraction(1, 3),
+             "partition": [], "ok": False}]
+
+    def emit(self, rows, fmt):
+        out = io.StringIO()
+        cli._emit_rows(rows, fmt, out)
+        return out.getvalue()
+
+    def test_csv(self):
+        assert self.emit(self.ROWS, "csv") == (
+            'B2-even,2,4,25/2,9,"4,1",true\n'
+            'A,4,5,31,1/3,"",false\n'
+        )
+
+    def test_json(self):
+        lines = self.emit(self.ROWS, "json").splitlines()
+        assert lines[0] == ('{"family": "B2-even", "n": 2, "q": 4, "d1": "25/2", '
+                            '"d2": "9", "partition": [4, 1], "ok": true}')
+        assert json.loads(lines[1])["d2"] == "1/3"
+
+    def test_rows_may_be_a_generator(self):
+        rows = ({"n": n, "ok": n % 2 == 0} for n in range(3))
+        assert self.emit(rows, "csv") == "0,true\n1,false\n2,true\n"
+
+    @pytest.mark.parametrize("value", [{1, 2}, object(), b"x"])
+    def test_json_rejects_other_types(self, value):
+        with pytest.raises(TypeError):
+            self.emit([{"x": value}], "json")
 
 
 class TestErrorsAndDeterminism:

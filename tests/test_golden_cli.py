@@ -56,6 +56,23 @@ CORPUS: list[list[str]] = [
     # bad usage and precondition failures: exit 1, JSON record on stderr
     ["hooks", "--n", "7"],
     ["hooks", "--n", "7", "--p", "4"],
+    # every row emitter path: the Lie grid in JSON, its exit-2 witness and
+    # an aliased family, the full degree listing in CSV, a size mismatch
+    ["verify-lie", "--format", "json"],
+    ["verify-lie", "--q-max", "4", "--p-max", "5", "--rank-max", "13", "--families", "A"],
+    ["verify-lie", "--families", "C,B2-even"],
+    ["degrees", "--n", "12", "--p", "5", "--all", "--format", "csv"],
+    ["degrees", "--partition", "3,1", "--n", "5", "--p", "5"],
+    # n = 0 with a bad and a good prime: fixes which check reports first
+    ["count", "--n", "0", "--p", "4"],
+    ["count", "--n", "0", "--p", "5"],
+    # one lie-pair record per family (PSL2 in and out of defining
+    # characteristic)
+    *(["lie-pair", "--family", family, "--q", q, "--p", p]
+      for family, q, p in (("PSL2", "7", "7"), ("PSL2", "8", "7"), ("PSL3", "4", "7"),
+                           ("PSU3", "4", "5"), ("PSp4", "7", "7"), ("Suzuki", "8", "7"),
+                           ("Ree2G2", "27", "13"), ("G2", "7", "7"), ("F4", "5", "5"),
+                           ("TriD4", "11", "11"))),
 ]
 
 

@@ -14,16 +14,17 @@ from ppcd.hooks import (
     layered_pprime_hooks,
     list_pprime_hooks,
     pprime_hook_xs,
-    pprime_partitions_small,
     quasihook,
     quasihook_monotone,
     scan_bound,
     scan_ext_degree_sets,
     verify_An_bound,
+    hook_count_row,
     verify_hook_counts,
 )
 from ppcd.partitions import (
     Partition,
+    _pprime_tuples,
     conjugate,
     enumerate_partitions,
     is_prime,
@@ -85,6 +86,18 @@ class TestCountFormula:
         for row in verify_hook_counts(300, PRIMES):
             assert row["ok"], row
 
+    def test_single_row_matches_grid(self):
+        grid = verify_hook_counts(60, (5, 7))
+        assert grid == [hook_count_row(n, p) for p in (5, 7) for n in range(1, 61)]
+        assert hook_count_row(7, 5) == {"n": 7, "p": 5, "formula": 4, "filtered": 4,
+                                        "layered": 4, "ok": True}
+
+    def test_single_row_checks_n_before_p(self):
+        with pytest.raises(ValueError, match="expected n >= 1, got 0"):
+            hook_count_row(0, 4)
+        with pytest.raises(ValueError, match="expected a prime, got 4"):
+            hook_count_row(7, 4)
+
     def test_layered_examples(self):
         assert [lam.parts for lam in layered_pprime_hooks(6, 5)] == [(6,), (1,) * 6]
         assert len(layered_pprime_hooks(5, 5)) == 5
@@ -145,26 +158,45 @@ class TestQuasihooks:
         assert not earlier < later
 
 
+def _one_plus_power_closed_form(m: int) -> set[tuple[int, ...]]:
+    """The p'-partitions of m = 1 + p^k: the row (m), the column (1^m)
+    and the quasihooks (p^k - t, 2, 1^(t-1)) for t = 1 .. p^k - 2."""
+    q = m - 1
+    return {(m,), (1,) * m} | {(q - t, 2) + (1,) * (t - 1) for t in range(1, q - 1)}
+
+
 class TestSmallPartitionList:
+    """The p-core-tower generator at m = 1 + p^k, where the row
+    extension family of ``verify_An_bound`` takes its partitions."""
+
     def test_example_m6(self):
-        got = {lam.parts for lam in pprime_partitions_small(6, 5)}
+        got = set(_pprime_tuples(6, 5))
         assert got == {(6,), (4, 2), (3, 2, 1), (2, 2, 1, 1), (1,) * 6}
 
     @pytest.mark.parametrize("m,p", [(6, 5), (8, 7), (26, 5), (50, 7)])
     def test_matches_full_scan(self, m, p):
-        listed = sorted(pprime_partitions_small(m, p), reverse=True)
-        scanned = [lam for lam in enumerate_partitions(m) if is_pprime_macdonald(lam, p)]
+        listed = sorted(_pprime_tuples(m, p), reverse=True)
+        scanned = [lam.parts for lam in enumerate_partitions(m) if is_pprime_macdonald(lam, p)]
         assert listed == scanned
+        assert set(listed) == _one_plus_power_closed_form(m)
+
+    @pytest.mark.parametrize("m,p", [(3, 2), (5, 2), (9, 2), (17, 2), (4, 3), (10, 3),
+                                     (28, 3), (6, 5), (26, 5), (126, 5), (8, 7), (50, 7),
+                                     (12, 11)])
+    def test_closed_form(self, m, p):
+        listed = list(_pprime_tuples(m, p))
+        assert len(listed) == len(set(listed))
+        assert set(listed) == _one_plus_power_closed_form(m)
 
     def test_m26_shape(self):
-        listed = pprime_partitions_small(26, 5)
+        listed = list(_pprime_tuples(26, 5))
         assert len(listed) == 25  # t = 1..23 plus row and column
 
-    def test_rejects_other_shapes(self):
-        with pytest.raises(ValueError):
-            pprime_partitions_small(7, 5)
-        with pytest.raises(ValueError):
-            pprime_partitions_small(6, 7)
+    def test_other_shapes_differ(self):
+        # the closed form is special to m = 1 + p^k: 7 = 2 + 5, and every
+        # partition of 6 < 7 has 7'-degree
+        assert set(_pprime_tuples(7, 5)) != _one_plus_power_closed_form(7)
+        assert len(set(_pprime_tuples(6, 7))) == 11 != len(_one_plus_power_closed_form(6))
 
 
 class TestExtDegreeSet:

@@ -21,7 +21,6 @@ from ppcd.lie import (
     in_contract_regime,
     nondivisibility_check,
     not_both_divisible,
-    pprime_part,
     prime_power_decomposition,
     prime_powers_upto,
     qprime_part,
@@ -57,7 +56,6 @@ class TestQPrimePart:
         assert qprime_part(48, 2) == 3
         assert qprime_part(60, 5) == 12
         assert qprime_part(125, 5) == 1
-        assert pprime_part(60, 5) == 12
 
     def test_rejects_zero(self):
         with pytest.raises(ValueError):

@@ -1,5 +1,7 @@
 """Partition, hook and core arithmetic: frozen examples and invariants."""
 
+import re
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -23,6 +25,7 @@ from ppcd.partitions import (
     is_prime,
     is_self_conjugate,
     p_adic_expansion,
+    require_int,
 )
 
 
@@ -37,6 +40,21 @@ def partitions(draw, max_n=40):
         cap = x
         rest -= x
     return Partition(parts)
+
+
+class TestRequireInt:
+    def test_accepts_and_returns(self):
+        assert require_int(5, 5, "unused {!r}") == 5
+        assert require_int(0, -3, "unused") == 0
+
+    @pytest.mark.parametrize("value", [True, False, 2.0, "3", None, 4])
+    def test_rejects(self, value):
+        with pytest.raises(ValueError, match="^" + re.escape(f"need >= 5, got {value!r}") + "$"):
+            require_int(value, 5, "need >= 5, got {!r}")
+
+    def test_shown_value(self):
+        with pytest.raises(ValueError, match=r"^parts: \(3, 0\)$"):
+            require_int(0, 1, "parts: {!r}", (3, 0))
 
 
 class TestPartitionType:
