@@ -9,12 +9,19 @@ emitted so the failure can be reproduced in one command.
 
 Output for a given invocation is byte-identical across runs: fixed
 orderings, no timestamps.
+
+A closed stdout (``ppcd verify-lie | head -1``) ends the run quietly
+with exit 1 and nothing on stderr: ``main`` flushes stdout itself, and
+on ``BrokenPipeError`` points the stdout file descriptor at
+``os.devnull``, so that the interpreter's final flush cannot raise
+again (the SIGPIPE note of the Python ``signal`` docs).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from fractions import Fraction
 from functools import lru_cache
@@ -294,11 +301,27 @@ def build_parser() -> _Parser:
     return parser
 
 
+def _discard_stdout() -> None:
+    """Point the stdout fd, if it has one, at os.devnull."""
+    try:
+        fd = sys.stdout.fileno()
+    except (AttributeError, OSError, ValueError):  # an in-memory stream
+        return
+    devnull = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(devnull, fd)
+    os.close(devnull)
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        return args.func(args, sys.stdout)
+        code = args.func(args, sys.stdout)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        _discard_stdout()
+        return 1
     except CliError as exc:
         _fail({"error": str(exc)})
         return 1

@@ -61,11 +61,16 @@ def load_degree_table(document: str) -> DegreeTable:
     [[degree, multiplicity], ...], "order": int?}.  Set form:
     {"degree_set": [degree, ...], "name": str?}.  Unknown keys are
     rejected; a complete multiset with an order is checked against the
-    sum-of-squares identity.
+    sum-of-squares identity.  Any document that does not load raises
+    ValueError: bad JSON, nesting deeper than the parser's recursion
+    limit, and integer literals past the interpreter's digit limit are
+    all schema violations.
     """
     try:
         data = json.loads(document)
-    except json.JSONDecodeError as exc:
+    except RecursionError:
+        raise _schema_error("not valid JSON (nested too deeply)") from None
+    except ValueError as exc:  # a JSONDecodeError, or an over-long integer literal
         raise _schema_error(f"not valid JSON ({exc})") from None
     if not isinstance(data, dict):
         raise _schema_error("top level must be an object")

@@ -9,6 +9,11 @@ formula a_1 * p^{n_1} * prod(a_j + 1) is the main verification target.
 On top of that sit the quasihook degree families (n-c-t, c, 1^t) and
 ``verify_An_bound``, which certifies at least three distinct p'-degrees
 of A_n characters that extend to S_n for every n >= 7 and prime p > 3.
+The quasihook witnesses need no partition: with a = n - c - t the hook
+multiset of (a, c, 1^t) is the integer ranges {1..a-c} u {a-c+2..a} u
+{a+t+1} (first row), {1..c-1} u {c+t} (second row) and {1..t} (the
+leg), so the p'-test is a sum of Legendre values v_p(m!), and the
+quasihook is self-conjugate only when c = 2 and n = 2t + 4.
 
 The exact extendable p'-degree sets of A_n are generated from the
 p-core tower: only the p'-partitions of n are built, as many as the
@@ -22,6 +27,7 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import accumulate
 from math import factorial, prod
 
 from .degrees import degree, factorial_valuation, hook_degree, is_pprime_macdonald
@@ -360,15 +366,34 @@ class AnBoundResult:
 
 def _quasihook_witnesses(n: int, p: int, c: int, need: int | None = None) -> set[int]:
     """Degrees of the p'-degree, non-self-conjugate quasihooks
-    (n-c-t, c, 1^t), by increasing t; stops once ``need`` are found
-    (None: every leg length)."""
+    (n-c-t, c, 1^t), c in {2, 3} and n >= 4 + c, by increasing t; stops
+    once ``need`` are found (None: every leg length).
+
+    No partition is built.  With a = n - c - t the hook lengths are
+    {1..a-c} u {a-c+2..a} u {a+t+1} in the first row, {1..c-1} u {c+t}
+    in the second and {1..t} in the leg, so their product is
+    H = a!/(a-c+1) * (a+t+1) * (c+t) * (c-1)! * t!, and v_p(n!/H) is a
+    sum of Legendre values L[m] = v_p(m!).  The conjugate is
+    (t+2, 2^(c-1), 1^(a-c)), so the quasihook is self-conjugate only
+    when c = 2 and n = 2t + 4.  The degree n!/H is taken only for the
+    leg lengths that pass.
+    """
+    L = list(accumulate(_valuation_table(n, p)))
+    fact_n = factorial(n)
+    fact_c = factorial(c - 1)
     out: set[int] = set()
     for t in range(0, n - 2 * c + 1):
-        lam = quasihook(n, c, t)
-        if is_pprime_macdonald(lam, p) and not is_self_conjugate(lam):
-            out.add(degree(lam))
-            if len(out) == need:
-                break
+        a = n - c - t
+        if c == 2 and n == 2 * t + 4:
+            continue
+        if (L[n] - L[a - c] - L[a] + L[a - c + 1]
+                - (L[a + t + 1] - L[a + t]) - (L[c + t] - L[c + t - 1])
+                - L[c - 1] - L[t]):
+            continue
+        hook_product = factorial(a) // (a - c + 1) * (a + t + 1) * (c + t) * fact_c * factorial(t)
+        out.add(fact_n // hook_product)
+        if len(out) == need:
+            break
     return out
 
 

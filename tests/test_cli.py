@@ -13,6 +13,18 @@ import pytest
 from ppcd import cli
 
 
+def _ppcd_argv(*argv):
+    return [sys.executable, "-m", "ppcd", *argv]
+
+
+def _ppcd_env(**extra):
+    """The environment with this checkout's ppcd first on PYTHONPATH."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, **extra)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return env
+
+
 def run(capsys, *argv):
     code = cli.main(list(argv))
     captured = capsys.readouterr()
@@ -184,6 +196,15 @@ class TestCtbl:
         code, _, err = run(capsys, "ctbl", "--file", str(path), "--p", "5")
         assert code == 1 and "sum-of-squares" in json.loads(err)["error"]
 
+    @pytest.mark.parametrize("text", ["[" * 100_000, '{"degree_set": [' + "7" * 5000 + "]}"],
+                             ids=["deep-nesting", "long-integer"])
+    def test_adversarial_file(self, capsys, tmp_path, text):
+        path = tmp_path / "adversarial.json"
+        path.write_text(text)
+        code, out, err = run(capsys, "ctbl", "--file", str(path), "--p", "5")
+        assert code == 1 and out == ""
+        assert json.loads(err)["error"].startswith("degree-table schema violation")
+
     def test_missing_file(self, capsys, tmp_path):
         code, _, err = run(capsys, "ctbl", "--file", str(tmp_path / "nope.json"), "--p", "5")
         assert code == 1
@@ -273,14 +294,31 @@ class TestErrorsAndDeterminism:
 
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     def test_byte_identical_across_hash_seeds(self, fmt):
-        # degree sets pass through hashing; output must not depend on it
-        src = str(Path(cli.__file__).resolve().parents[1])
-        argv = [sys.executable, "-m", "ppcd", "verify-an", "--n-max", "30",
-                "--primes", "5,7,11,13", "--format", fmt]
-        outputs = []
-        for seed in ("0", "12345"):
-            env = dict(os.environ, PYTHONHASHSEED=seed)
-            env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-            done = subprocess.run(argv, env=env, capture_output=True, check=True)
-            outputs.append(done.stdout)
-        assert outputs[0] == outputs[1] and outputs[0]
+        # degree sets and family lists pass through hashing; output must
+        # not depend on it
+        commands = [
+            ["verify-an", "--n-max", "30", "--primes", "5,7,11,13"],
+            ["verify-lie"],
+            ["degrees", "--n", "12", "--p", "5", "--all"],
+        ]
+        for command in commands:
+            outputs = []
+            for seed in ("0", "12345"):
+                done = subprocess.run(_ppcd_argv(*command, "--format", fmt),
+                                      env=_ppcd_env(PYTHONHASHSEED=seed),
+                                      capture_output=True, check=True)
+                outputs.append(done.stdout)
+            assert outputs[0] == outputs[1] and outputs[0], command
+
+    def test_closed_stdout_exits_quietly(self):
+        # ~0.5 MB of rows, far more than a pipe holds: the writes after
+        # the reader closes its end raise BrokenPipeError in the child
+        proc = subprocess.Popen(_ppcd_argv("verify-lie", "--q-max", "32"),
+                                env=_ppcd_env(), stdout=subprocess.PIPE,
+                                stderr=subprocess.PIPE)
+        first = proc.stdout.readline()
+        proc.stdout.close()
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert proc.wait(timeout=60) == 1
+        assert first.startswith(b"A,") and err == b""

@@ -1,10 +1,14 @@
 """Degree-table ingestion: schema validation, order checks, bundled data."""
 
 import json
+from importlib import resources
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ppcd.ctbl import (
+    DegreeTable,
     bundled_names,
     bundled_table,
     cd,
@@ -72,6 +76,89 @@ class TestLoader:
     def test_schema_violations(self, bad):
         with pytest.raises(ValueError):
             load_degree_table(bad)
+
+
+def _loads_or_value_error(text: str) -> DegreeTable | None:
+    """The loader's contract: a DegreeTable or a ValueError, nothing else."""
+    try:
+        table = load_degree_table(text)
+    except ValueError:
+        return None
+    assert isinstance(table, DegreeTable)
+    return table
+
+
+_json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=5),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=5), inner,
+                                                               max_size=4),
+    max_leaves=12,
+)
+_ints_or_bools = st.integers(min_value=-2, max_value=10**6) | st.booleans()
+_multiset_docs = st.fixed_dictionaries(
+    {"name": st.text(max_size=5) | _json_values,
+     "complete": st.booleans() | _json_values,
+     "degrees": st.lists(st.lists(_ints_or_bools, min_size=1, max_size=3), max_size=5)
+                | _json_values},
+    optional={"order": _ints_or_bools | _json_values},
+)
+_set_docs = st.fixed_dictionaries(
+    {"degree_set": st.lists(_ints_or_bools, max_size=6) | _json_values},
+    optional={"name": st.text(max_size=5) | _json_values},
+)
+# where an adversarial value goes: the whole document, a set member, a
+# degree, a multiplicity, the order
+_PLACES = ["{}", '{{"degree_set": [{}]}}',
+           '{{"name": "X", "complete": true, "degrees": [[{}, 1]]}}',
+           '{{"name": "X", "complete": true, "degrees": [[1, {}]]}}',
+           '{{"name": "X", "complete": true, "degrees": [[1, 1]], "order": {}}}']
+_VALID = [resources.files("ppcd").joinpath("data", f).read_text()
+          for f in ("a5.json", "s5.json", "a6.json")]
+
+
+class TestLoaderProperties:
+    """Malformed and adversarial documents: load or raise ValueError."""
+
+    @given(st.text())
+    @settings(max_examples=200, deadline=None)
+    def test_any_text(self, text):
+        _loads_or_value_error(text)
+
+    @given(st.sampled_from(_VALID), st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_truncated_documents(self, document, data):
+        cut = data.draw(st.integers(min_value=0, max_value=len(document.rstrip()) - 1))
+        assert _loads_or_value_error(document[:cut]) is None
+
+    @given(_multiset_docs | _set_docs | _json_values)
+    @settings(max_examples=300, deadline=None)
+    def test_wrong_types(self, value):
+        table = _loads_or_value_error(json.dumps(value))
+        if table is not None:
+            assert all(type(d) is int and d > 0 for d in table.degree_set)
+
+    @pytest.mark.parametrize("place", _PLACES[1:])
+    @pytest.mark.parametrize("flag", ["true", "false"])
+    def test_bools_are_not_ints(self, place, flag):
+        with pytest.raises(ValueError, match="schema violation"):
+            load_degree_table(place.format(flag))
+
+    @given(st.integers(min_value=1, max_value=3_000) | st.integers(min_value=1, max_value=200_000),
+           st.sampled_from("[{"), st.sampled_from(_PLACES))
+    @settings(max_examples=80, deadline=None)
+    def test_deep_nesting(self, depth, opener, place):
+        if opener == "[":
+            inner = "[" * depth + "]" * depth
+        else:
+            inner = '{"":' * depth + "1" + "}" * depth
+        assert _loads_or_value_error(place.format(inner)) is None
+        assert _loads_or_value_error(place.format(opener * depth)) is None
+
+    @given(st.integers(min_value=4_301, max_value=50_000), st.sampled_from(_PLACES[1:]))
+    @settings(max_examples=30, deadline=None)
+    def test_over_long_integer_literals(self, digits, place):
+        with pytest.raises(ValueError, match="schema violation"):
+            load_degree_table(place.format("7" * digits))
 
 
 class TestBundled:

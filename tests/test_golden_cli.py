@@ -51,6 +51,11 @@ CORPUS: list[list[str]] = [
     ["verify-an", "--n-max", "20"],
     ["verify-an", "--n-max", "20", "--format", "json"],
     ["verify-an", "--n-max", "60", "--exact-bound", "0"],
+    # the constructive path over the whole an-certified range, and at
+    # primes large enough that most n have a single base-p digit
+    ["verify-an", "--n-max", "100", "--exact-bound", "0"],
+    ["verify-an", "--n-max", "100", "--exact-bound", "0", "--format", "json"],
+    ["verify-an", "--n-max", "100", "--primes", "17,19,23", "--exact-bound", "0"],
     # a many-level p'-test
     ["degrees", "--partition", "5,3,3,1", "--p", "2", "--format", "csv"],
     # bad usage and precondition failures: exit 1, JSON record on stderr

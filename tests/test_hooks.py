@@ -2,10 +2,12 @@
 
 import pytest
 
+from ppcd import hooks as hooks_mod
 from ppcd.degrees import degree, is_pprime_macdonald, is_pprime_oracle
 from ppcd.hooks import (
     DEFAULT_SCAN_BOUND,
     _an_bound_case,
+    _quasihook_witnesses,
     SCAN_BOUND_ENV,
     count_pprime_hooks_formula,
     ext_pprime_degree_set,
@@ -156,6 +158,44 @@ class TestQuasihooks:
         later = degree(Partition([5, 5, 1, 1, 1]))
         assert earlier == 5720 and later == 5005
         assert not earlier < later
+
+
+def _quasihook_witnesses_oracle(n, p, c, need=None):
+    """The Partition loop that ``_quasihook_witnesses`` replaces: build
+    each quasihook, run Macdonald's test and conjugate it, take its
+    degree from the hook lengths."""
+    out = set()
+    for t in range(0, n - 2 * c + 1):
+        lam = quasihook(n, c, t)
+        if is_pprime_macdonald(lam, p) and not is_self_conjugate(lam):
+            out.add(degree(lam))
+            if len(out) == need:
+                break
+    return out
+
+
+class TestQuasihookWitnesses:
+    """The closed form (Legendre sums, no partition) against the loop."""
+
+    @pytest.mark.parametrize("p", PRIMES)
+    def test_an_certified_grid(self, p):
+        for n in range(7, 101):
+            for c in (2, 3):
+                assert _quasihook_witnesses(n, p, c) == _quasihook_witnesses_oracle(n, p, c)
+                assert (_quasihook_witnesses(n, p, c, 2)
+                        == _quasihook_witnesses_oracle(n, p, c, 2))
+
+    @pytest.mark.parametrize("p", [2, 3, 17])
+    def test_constructive_sets(self, p, monkeypatch):
+        closed = [ext_pprime_degree_set(n, p, bound=0) for n in range(1, 61)]
+        monkeypatch.setattr(hooks_mod, "_quasihook_witnesses", _quasihook_witnesses_oracle)
+        assert closed == [ext_pprime_degree_set(n, p, bound=0) for n in range(1, 61)]
+
+    def test_self_conjugacy_rule(self):
+        for n in range(6, 41):
+            for c in (2, 3) if n >= 7 else (2,):
+                for t in range(0, n - 2 * c + 1):
+                    assert is_self_conjugate(quasihook(n, c, t)) == (c == 2 and n == 2 * t + 4)
 
 
 def _one_plus_power_closed_form(m: int) -> set[tuple[int, ...]]:
