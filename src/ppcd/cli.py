@@ -20,6 +20,7 @@ again (the SIGPIPE note of the Python ``signal`` docs).
 from __future__ import annotations
 
 import argparse
+import io
 import json
 import os
 import sys
@@ -181,19 +182,45 @@ def cmd_verify_an(args, out) -> int:
     return 0
 
 
+# the p cell of a block's template row: no other cell of a grid row holds a
+# minus sign followed by a digit, so its text occurs there exactly once
+_P_MARK = -1
+
+
+def _emit_blocks(blocks, fmt: str, out):
+    """Write the rows of each classical-grid block as ``_emit_rows`` would.
+
+    Each block's passing and failing template rows, with ``_P_MARK`` as
+    p, go through ``_emit_rows`` once; every row is then the text before
+    the mark, str(p), and the text after it.  Returns the first failing
+    (block, p) in emission order, or None.
+    """
+    first_bad = None
+    for block in blocks:
+        buf = io.StringIO()
+        _emit_rows([block.row(_P_MARK, True), block.row(_P_MARK, False)], fmt, buf)
+        passing, failing = buf.getvalue().splitlines(keepends=True)
+        head, ok_tail = passing.split(str(_P_MARK))
+        _, bad_tail = failing.split(str(_P_MARK))
+        out.write("".join([head + str(p) + (bad_tail if p in block.failing else ok_tail)
+                           for p in block.primes]))
+        if first_bad is None and block.failing:
+            first_bad = block, min(block.failing)
+    return first_bad
+
+
 def cmd_verify_lie(args, out) -> int:
     families = args.families.split(",") if args.families else None
     try:
-        rows = lie_mod.classical_grid(args.q_max, args.p_max, families, args.rank_max)
+        blocks = lie_mod._classical_blocks(args.q_max, args.p_max, families, args.rank_max)
     except ValueError as exc:
         raise CliError(str(exc)) from None
-    # the grid's keys are already the columns, in order
-    _emit_rows(rows, args.format, out)
-    bad = next((row for row in rows if not row["ok"]), None)
+    bad = _emit_blocks(blocks, args.format, out)
     if bad is not None:
-        _fail({"violation": "lie-not-both-divisible", "family": bad["family"],
-               "n": bad["n"], "q": bad["q"], "p": bad["p"],
-               "d1": str(bad["d1"]), "d2": str(bad["d2"])})
+        block, p = bad
+        _fail({"violation": "lie-not-both-divisible", "family": block.family,
+               "n": block.n, "q": block.q, "p": p,
+               "d1": str(block.d1), "d2": str(block.d2)})
         return 2
     return 0
 

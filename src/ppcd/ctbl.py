@@ -54,6 +54,16 @@ def _check_positive_int(value, what: str) -> int:
     return require_int(value, 1, message)
 
 
+def _int_text(value: int) -> str:
+    """str(value), or its bit length where str() would pass the
+    interpreter's digit limit (the order and the degrees were parsed
+    under that limit, but a sum of squares can exceed it)."""
+    try:
+        return str(value)
+    except ValueError:
+        return f"an integer of {value.bit_length()} bits"
+
+
 def load_degree_table(document: str) -> DegreeTable:
     """Parse and validate a JSON degree-table document.
 
@@ -118,7 +128,7 @@ def load_degree_table(document: str) -> DegreeTable:
         if total != order:
             raise ValueError(
                 f"sum-of-squares mismatch for {data['name']}: "
-                f"degrees give {total}, order says {order}"
+                f"degrees give {_int_text(total)}, order says {order}"
             )
     return DegreeTable(
         name=data["name"],

@@ -1,6 +1,6 @@
 """Degree polynomials in q for characters of finite groups of Lie type.
 
-Three layers:
+Four layers:
 
 * ``DegreeFormula`` -- a product form scalar * q^e * prod(q^m - s) over
   prod(q^m - s), evaluated exactly; integrality is enforced at
@@ -9,6 +9,11 @@ Three layers:
 * generic-order arithmetic for GL/GU, giving semisimple character
   degrees as p'-parts of centralizer indices, cross-checkable against
   the closed forms they are supposed to reproduce.
+* the classical grid: two carried unipotent q'-degrees (d1, d2) per
+  family and rank, checked for every grid prime p > 3 prime to q.  It
+  is computed by (family, rank, q) block: d1 and d2 are fixed within a
+  block, and p divides both exactly when p | gcd(d1.numerator,
+  d2.numerator), so one gcd per block gives every failing p.
 * per-family data for the small-rank groups (PSL2, PSL3/PSU3, PSp4,
   the Suzuki and small Ree groups, and the defining-characteristic
   G2/F4/triality-D4 constants), selecting for each (family, q, p) a
@@ -19,6 +24,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, prod
+from typing import NamedTuple
 
 from .partitions import is_prime, require_int, require_prime
 
@@ -376,6 +383,68 @@ def not_both_divisible(family: str, n: int, q: int, p: int) -> bool:
     return _pair_not_both_divisible(f1.evaluate_rational(q), f2.evaluate_rational(q), p)
 
 
+class _ClassicalBlock(NamedTuple):
+    """The rows of one (family, rank, q) of the classical grid.
+
+    ``primes`` are the grid primes p with q % p != 0, increasing;
+    ``failing`` are those of them that divide both d1 and d2.
+    """
+
+    family: str
+    n: int
+    q: int
+    d1: Fraction
+    d2: Fraction
+    primes: tuple[int, ...]
+    failing: frozenset[int]
+
+    def row(self, p: int, ok: bool) -> dict:
+        return {"family": self.family, "n": self.n, "q": self.q, "p": p,
+                "d1": self.d1, "d2": self.d2, "ok": ok}
+
+
+def _classical_blocks(
+    q_max: int,
+    p_max: int,
+    families: list[str] | None = None,
+    rank_max: int = 10,
+) -> list[_ClassicalBlock]:
+    """The classical grid as (family, rank, q) blocks, in row order.
+
+    Every family is checked before any block is built.  Within a block
+    d1 and d2 are fixed, so with g = gcd(d1.numerator, d2.numerator) a
+    prime p fails exactly when p | g; one gcd against the product of the
+    grid primes finds them all.  A grid prime in a denominator goes
+    through ``_pair_not_both_divisible``, which raises where the per-row
+    test raises.
+    """
+    fams = families if families is not None else classical_families()
+    ranges = [classical_family_rank_range(family) for family in fams]
+    ps = _primes_in(5, p_max)
+    ps_product = prod(ps)
+    primes_of = {q: tuple(p for p in ps if q % p) for q in prime_powers_upto(q_max)}
+    blocks = []
+    for family, (lo, hi) in zip(fams, ranges):
+        fam = CLASSICAL_FAMILY_ALIASES.get(family, family)
+        top = min(rank_max, hi) if hi is not None else rank_max
+        for n in range(lo, top + 1):
+            f1, f2 = classical_unipotent_pair(fam, n)
+            for q, primes in primes_of.items():
+                if _q_parity_error(fam, n, q):
+                    continue
+                d1 = f1.evaluate_rational(q)
+                d2 = f2.evaluate_rational(q)
+                den = d1.denominator * d2.denominator
+                if gcd(den, ps_product) > 1:
+                    for p in primes:
+                        if den % p == 0:
+                            _pair_not_both_divisible(d1, d2, p)
+                g = gcd(d1.numerator, d2.numerator, ps_product)
+                failing = frozenset(p for p in primes if g % p == 0) if g > 1 else frozenset()
+                blocks.append(_ClassicalBlock(family, n, q, d1, d2, primes, failing))
+    return blocks
+
+
 def classical_grid(
     q_max: int,
     p_max: int,
@@ -385,39 +454,16 @@ def classical_grid(
     """One row per (family, rank, q, p) combination of the verification grid.
 
     Degrees are exact rationals (the 1/2-scalar rows are non-integral
-    for even q); ``ok`` is the not-both-divisible check.
+    for even q); ``ok`` is the not-both-divisible check.  The rows are
+    the (family, rank, q) blocks of ``_classical_blocks`` flattened:
+    d1 and d2 are fixed within a block, and p fails exactly when it
+    divides gcd(d1.numerator, d2.numerator).
     """
-    fams = families if families is not None else classical_families()
-    qs = prime_powers_upto(q_max)
-    ps = [p for p in _primes_in(5, p_max)]
-    rows = []
-    for family in fams:
-        fam = CLASSICAL_FAMILY_ALIASES.get(family, family)
-        lo, hi = classical_family_rank_range(fam)
-        top = min(rank_max, hi) if hi is not None else rank_max
-        for n in range(lo, top + 1):
-            formulas = classical_unipotent_pair(fam, n)
-            for q in qs:
-                if _q_parity_error(fam, n, q):
-                    continue
-                d1 = formulas[0].evaluate_rational(q)
-                d2 = formulas[1].evaluate_rational(q)
-                for p in ps:
-                    if q % p == 0:
-                        continue
-                    ok = _pair_not_both_divisible(d1, d2, p)
-                    rows.append(
-                        {
-                            "family": family,
-                            "n": n,
-                            "q": q,
-                            "p": p,
-                            "d1": d1,
-                            "d2": d2,
-                            "ok": ok,
-                        }
-                    )
-    return rows
+    return [
+        block.row(p, p not in block.failing)
+        for block in _classical_blocks(q_max, p_max, families, rank_max)
+        for p in block.primes
+    ]
 
 
 # -- exceptional pairs for the excluded small families -----------------------

@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from ppcd import cli
+from ppcd import cli, lie
 
 
 def _ppcd_argv(*argv):
@@ -154,6 +154,47 @@ class TestVerifyLie:
         assert code == 0 and all(r["ok"] for r in rows)
 
 
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("families", [None, ["C", "B2-even"], ["A", "2A"]])
+    def test_block_writer_matches_row_emitter(self, fmt, families):
+        # q <= 32 and rank <= 20 hold the 1/2-valued B rows and failing
+        # A and 2A rows
+        blocks = lie._classical_blocks(32, 61, families, rank_max=20)
+        rows = lie.classical_grid(32, 61, families, rank_max=20)
+        by_blocks, by_rows = io.StringIO(), io.StringIO()
+        bad = cli._emit_blocks(blocks, fmt, by_blocks)
+        cli._emit_rows(rows, fmt, by_rows)
+        assert by_blocks.getvalue() == by_rows.getvalue()
+        first = next((row for row in rows if not row["ok"]), None)
+        assert (None if bad is None else bad[0].row(bad[1], False)) == first
+        assert (first is None) == (families == ["C", "B2-even"])
+        assert any(row["d1"].denominator == 2 for row in rows) == (families != ["A", "2A"])
+
+    def test_block_writer_on_a_passing_grid(self):
+        out = io.StringIO()
+        assert cli._emit_blocks(lie._classical_blocks(9, 13), "csv", out) is None
+        assert out.getvalue().count("\n") == len(lie.classical_grid(9, 13))
+
+    def test_exit_record_names_first_failing_row(self, capsys):
+        code, out, err = run(capsys, "verify-lie", "--q-max", "4", "--p-max", "5",
+                             "--rank-max", "13", "--families", "A")
+        assert code == 2
+        assert json.loads(err) == {"violation": "lie-not-both-divisible", "family": "A",
+                                   "n": 13, "q": 4, "p": 5, "d1": "5592405",
+                                   "d2": "1563748356005"}
+        assert [line for line in out.splitlines() if line.endswith(",false")] == [
+            "A,13,4,5,5592405,1563748356005,false"]
+        # many failing rows, in both families: the record is the first one
+        code, out, err = run(capsys, "verify-lie", "--q-max", "32", "--p-max", "61",
+                             "--rank-max", "20", "--families", "2A,A", "--format", "json")
+        rows = [json.loads(line) for line in out.splitlines()]
+        first = next(row for row in rows if not row["ok"])
+        assert code == 2 and sum(not row["ok"] for row in rows) > 1
+        assert json.loads(err) == {"violation": "lie-not-both-divisible",
+                                   **{key: first[key] for key in ("family", "n", "q", "p",
+                                                                  "d1", "d2")}}
+
+
 class TestLiePair:
     def test_example(self, capsys):
         code, out, _ = run(capsys, "lie-pair", "--family", "PSp4", "--q", "5", "--p", "13")
@@ -195,6 +236,15 @@ class TestCtbl:
         path.write_text('{"name": "A5", "complete": true, "degrees": [[1,1]], "order": 61}')
         code, _, err = run(capsys, "ctbl", "--file", str(path), "--p", "5")
         assert code == 1 and "sum-of-squares" in json.loads(err)["error"]
+
+    def test_mismatch_with_a_total_too_long_to_print(self, capsys, tmp_path):
+        path = tmp_path / "huge.json"
+        path.write_text('{"name": "X", "complete": true, "degrees": [[' + "9" * 2200
+                        + ', 1]], "order": 5}')
+        code, out, err = run(capsys, "ctbl", "--file", str(path), "--p", "5")
+        assert code == 1 and out == ""
+        assert json.loads(err)["error"].startswith(
+            "sum-of-squares mismatch for X: degrees give an integer of ")
 
     @pytest.mark.parametrize("text", ["[" * 100_000, '{"degree_set": [' + "7" * 5000 + "]}"],
                              ids=["deep-nesting", "long-integer"])

@@ -49,6 +49,25 @@ class TestLoader:
                 doc(name="A5", order=61, complete=True, degrees=[[1, 1], [3, 2], [4, 1], [5, 1]])
             )
 
+    def test_mismatch_message_names_the_total(self):
+        with pytest.raises(ValueError) as info:
+            load_degree_table(
+                doc(name="A5", order=61, complete=True, degrees=[[1, 1], [3, 2], [4, 1], [5, 1]])
+            )
+        assert str(info.value) == "sum-of-squares mismatch for A5: degrees give 60, order says 61"
+
+    def test_mismatch_with_a_total_too_long_to_print(self):
+        # a 2 200-digit degree parses, but its square has 4 400 digits,
+        # past the interpreter's limit for str() of an int
+        degree = 10**2200 - 1
+        with pytest.raises(ValueError) as info:
+            load_degree_table(doc(name="X", complete=True, degrees=[[degree, 1]], order=5))
+        bits = (degree * degree).bit_length()
+        assert str(info.value) == (
+            f"sum-of-squares mismatch for X: degrees give an integer of {bits} bits, "
+            "order says 5"
+        )
+
     def test_incomplete_table_skips_order_check(self):
         load_degree_table(doc(name="frag", order=60, complete=False, degrees=[[3, 2]]))
 

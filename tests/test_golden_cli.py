@@ -78,6 +78,15 @@ CORPUS: list[list[str]] = [
                            ("PSU3", "4", "5"), ("PSp4", "7", "7"), ("Suzuki", "8", "7"),
                            ("Ree2G2", "27", "13"), ("G2", "7", "7"), ("F4", "5", "5"),
                            ("TriD4", "11", "11"))),
+    # the Lie grid past rank 13, where rows fail, in JSON; the 1/2-scalar
+    # rows in JSON; a repeated family; an unknown family after a good one
+    # (exit 1, nothing on stdout); no prime p >= 5; no rank in range
+    ["verify-lie", "--q-max", "32", "--p-max", "61", "--rank-max", "20", "--format", "json"],
+    ["verify-lie", "--families", "C,B2-even", "--q-max", "16", "--format", "json"],
+    ["verify-lie", "--families", "A,A", "--q-max", "9"],
+    ["verify-lie", "--families", "A,X"],
+    ["verify-lie", "--p-max", "3"],
+    ["verify-lie", "--families", "A", "--rank-max", "3"],
 ]
 
 

@@ -3,10 +3,12 @@ semisimple degrees, the classical divisibility grid, and the selected
 pairs for the small families."""
 
 import hashlib
+import math
 from fractions import Fraction
 
 import pytest
 
+from ppcd import lie
 from ppcd.lie import (
     CentralizerSpec,
     DegreeFormula,
@@ -264,6 +266,96 @@ class TestNotBothDivisible:
         assert rows and all(r["ok"] for r in rows)
         labels = {r["family"] for r in rows}
         assert labels == {"A", "2A", "B", "B2-even", "D", "D4", "2D"}
+
+
+def _classical_grid_oracle(q_max, p_max, families=None, rank_max=10):
+    """The classical grid row by row: one not-both-divisible test per
+    (family, rank, q, p), in the order ``classical_grid`` emits them."""
+    fams = families if families is not None else lie.classical_families()
+    qs = lie.prime_powers_upto(q_max)
+    ps = lie._primes_in(5, p_max)
+    rows = []
+    for family in fams:
+        fam = lie.CLASSICAL_FAMILY_ALIASES.get(family, family)
+        lo, hi = lie.classical_family_rank_range(fam)
+        top = min(rank_max, hi) if hi is not None else rank_max
+        for n in range(lo, top + 1):
+            formulas = lie.classical_unipotent_pair(fam, n)
+            for q in qs:
+                if lie._q_parity_error(fam, n, q):
+                    continue
+                d1 = formulas[0].evaluate_rational(q)
+                d2 = formulas[1].evaluate_rational(q)
+                for p in ps:
+                    if q % p == 0:
+                        continue
+                    ok = lie._pair_not_both_divisible(d1, d2, p)
+                    rows.append({"family": family, "n": n, "q": q, "p": p,
+                                 "d1": d1, "d2": d2, "ok": ok})
+    return rows
+
+
+class TestClassicalBlocks:
+    def test_wide_grid_matches_oracle(self):
+        rows = classical_grid(128, 97, rank_max=40)
+        assert len(rows) == 184_195
+        assert sum(not row["ok"] for row in rows) == 99
+        assert rows == _classical_grid_oracle(128, 97, rank_max=40)
+
+    def test_default_grid_matches_oracle(self):
+        assert classical_grid(27, 97) == _classical_grid_oracle(27, 97)
+
+    @pytest.mark.parametrize("families", [["C", "B2-even"], ["A", "A"], ["2D", "A"]])
+    def test_family_lists_match_oracle(self, families):
+        assert (classical_grid(32, 61, families, rank_max=20)
+                == _classical_grid_oracle(32, 61, families, rank_max=20))
+
+    def test_key_order(self):
+        assert list(classical_grid(4, 5, ["A"])[0]) == ["family", "n", "q", "p", "d1", "d2", "ok"]
+
+    def test_blocks(self):
+        blocks = lie._classical_blocks(4, 5, ["A"], rank_max=13)
+        assert [(b.family, b.n, b.q) for b in blocks][:3] == [("A", 4, 2), ("A", 4, 3), ("A", 4, 4)]
+        assert all(b.primes == (5,) for b in blocks)
+        assert [(b.n, b.q) for b in blocks if b.failing] == [(13, 4)]
+        witness = blocks[-1]
+        assert (witness.d1, witness.d2) == (5_592_405, 1_563_748_356_005)
+        assert math.gcd(witness.d1.numerator, witness.d2.numerator) % 5 == 0
+
+    def test_failing_primes_divide_the_numerator_gcd(self):
+        for block in lie._classical_blocks(64, 199, rank_max=30):
+            g = math.gcd(block.d1.numerator, block.d2.numerator)
+            assert block.failing == {p for p in block.primes if g % p == 0}
+
+    def test_every_family_checked_before_any_block(self):
+        with pytest.raises(ValueError, match="unknown classical family 'X'"):
+            lie._classical_blocks(9, 13, ["A", "X"])
+
+    def test_empty_grids(self):
+        assert classical_grid(27, 3) == []
+        assert classical_grid(27, 97, ["A"], rank_max=3) == []
+        assert classical_grid(1, 97) == []
+
+    @pytest.mark.parametrize("pair, q, raises", [
+        # (q + 1)/(q - 1) at q = 11 is 6/5: 5 in the denominator of d1
+        (((((1, -1),), ((1, 1),)), (((1, 1),), ())), 11, True),
+        # d1 = q - 1 = 10 is divisible by 5 and d2 = 12/10 = 6/5 has 5 below
+        (((((1, 1),), ()), (((1, -1),), ((1, 1),))), 11, True),
+        # d1 = q + 1 = 12 is prime to 5, so d2's denominator is never tested
+        (((((1, -1),), ()), (((1, -1),), ((1, 1),))), 11, False),
+    ], ids=["d1-denominator", "d2-denominator", "d2-denominator-untested"])
+    def test_prime_in_a_denominator(self, monkeypatch, pair, q, raises):
+        formulas = tuple(DegreeFormula(factors=f, denominator_factors=d) for f, d in pair)
+        monkeypatch.setattr(lie, "classical_unipotent_pair", lambda family, n: formulas)
+        if raises:
+            with pytest.raises(ArithmeticError) as want:
+                _classical_grid_oracle(q, 5, ["A"], rank_max=4)
+            with pytest.raises(ArithmeticError) as got:
+                classical_grid(q, 5, ["A"], rank_max=4)
+            assert str(got.value) == str(want.value)
+        else:
+            assert classical_grid(q, 5, ["A"], rank_max=4) == _classical_grid_oracle(
+                q, 5, ["A"], rank_max=4)
 
 
 class TestExceptionalPairs:
