@@ -17,9 +17,13 @@ quasihook is self-conjugate only when c = 2 and n = 2t + 4.
 
 The exact extendable p'-degree sets of A_n are generated from the
 p-core tower: only the p'-partitions of n are built, as many as the
-McKay number prod_j k(p^j, a_j), instead of scanning all p(n).  The
-full scan survives as ``filter_ext_degree_sets``, the oracle the
-generated sets are tested against.
+McKay number prod_j k(p^j, a_j), instead of scanning all p(n).  Of each
+conjugate pair only one member is built, picked by its p^k-core (the
+core of lam' is the conjugate of the core of lam), and its degree is n!
+over the hook product taken row by row, with the rows below the second
+looked up in a memo that lives for one scan.  The full scan survives as
+``filter_ext_degree_sets``, the oracle the generated sets are tested
+against.
 """
 
 from __future__ import annotations
@@ -35,7 +39,9 @@ from .partitions import (
     Partition,
     _conjugate_parts,
     _hook_lengths,
+    _hook_product,
     _partition_tuples,
+    _pprime_pairs,
     _pprime_tuples,
     hook_partition,
     is_self_conjugate,
@@ -248,10 +254,15 @@ def scan_ext_degree_sets(n: int, primes: tuple[int, ...]) -> dict[int, set[int]]
 
     For every prime p given, collects the degrees of the partitions of
     n with p'-degree and lam != lam' (exactly the p'-degree characters
-    of A_n that extend to S_n).  Only the p'-partitions are visited,
-    built by ``_pprime_tuples``; the set is closed under conjugation and
-    a conjugate pair shares its degree, so each pair is counted once, at
-    the member with lam' < lam.
+    of A_n that extend to S_n).  A conjugate pair shares its degree, so
+    ``_pprime_pairs`` builds one member of each pair and no
+    self-conjugate partition: the p^k-core of lam' is the conjugate of
+    the p^k-core of lam, so the core alone picks the member, and only
+    partitions on a self-conjugate core are compared with their
+    conjugate.  Each degree is n! over ``_hook_product``, the hook
+    product taken row by row; the products of the rows below the second
+    repeat across the scan and are kept in a memo that lives for this
+    call only.
     """
     primes = tuple(primes)
     for p in primes:
@@ -259,15 +270,16 @@ def scan_ext_degree_sets(n: int, primes: tuple[int, ...]) -> dict[int, set[int]]
     if n < 1:
         raise ValueError(f"expected n >= 1, got {n!r}")
     fact = factorial(n)
+    memo: dict[tuple[int, ...], int] = {}
     out: dict[int, set[int]] = {}
     for p in primes:
         degs = out[p] = set()
-        for parts in _pprime_tuples(n, p):
-            if len(parts) > parts[0]:  # conj[0] > parts[0]: conj < parts fails
-                continue
-            conj = _conjugate_parts(parts)
-            if conj < parts:
-                degs.add(fact // prod(_hook_lengths(parts, conj)))
+        for parts in _pprime_pairs(n, p):
+            deg, rem = divmod(fact, _hook_product(parts, memo))
+            if rem:
+                raise ArithmeticError(
+                    f"hook product does not divide {n}! for {Partition._from_valid(parts, n)}")
+            degs.add(deg)
     return out
 
 

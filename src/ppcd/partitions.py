@@ -9,7 +9,15 @@ of its runner), which is order-independent by construction and runs in
 O(parts + e).  A naive rim-hook remover is kept alongside it as the
 cross-check oracle for the core computation.  The same abacus, run in
 reverse, generates the p'-degree partitions of n directly from the
-p-core tower (``_pprime_tuples``) without visiting the others.
+p-core tower (``_pprime_tuples``) without visiting the others.  Since
+the p^k-core of lam' is the conjugate of the p^k-core of lam, the core
+alone picks one member of each conjugate pair (``_pprime_pairs``): only
+the partitions built on a self-conjugate core are ever conjugated.
+
+Hook products are also taken row by row (``_hook_product``): the first
+row of (lam_1, ..., lam_{l+1}) contributes
+(lam_1 + l)! / prod_{j=1..l} (lam_1 + j - lam_{j+1}), and the product
+of the rows below the second comes from a caller-owned memo.
 
 Partitions are immutable values and every function is pure, so the
 module is safe for concurrent use.  Enumeration order is fixed
@@ -21,6 +29,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache, total_ordering
+from math import factorial, prod
 from operator import sub
 from typing import Iterable, Iterator
 
@@ -373,29 +382,110 @@ def _pprime_tuples(n: int, p: int) -> Iterator[tuple[int, ...]]:
     if n < p:
         yield from _partition_tuples(n)
         return
+    e, a, r = _top_term(n, p)
+    for mu in _pprime_tuples(r, p):
+        yield from _abacus_slides(mu, e, a)
+
+
+def _pprime_pairs(n: int, p: int) -> Iterator[tuple[int, ...]]:
+    """One member of each pair {lam, lam'} of p'-partitions of n with
+    lam != lam', as raw tuples; no self-conjugate partition.
+
+    The p^k-core of lam' is the conjugate of the p^k-core of lam (James
+    and Kerber 2.7), so the core mu of ``_pprime_tuples`` picks the
+    member: with mu' < mu every partition built on mu is kept and its
+    conjugate, built on mu', is never built; with mu' > mu nothing is
+    built; with mu' = mu (mu empty included) lam is kept when lam' < lam.
+    Below p every partition of n is a p'-partition, kept when lam' < lam.
+    """
+    if n < p:
+        yield from filter(_above_conjugate, _partition_tuples(n))
+        return
+    e, a, r = _top_term(n, p)
+    for mu in _pprime_tuples(r, p):
+        conj = _conjugate_parts(mu)
+        if conj < mu:
+            yield from _abacus_slides(mu, e, a)
+        elif conj == mu:
+            yield from filter(_above_conjugate, _abacus_slides(mu, e, a))
+
+
+def _above_conjugate(parts: tuple[int, ...]) -> bool:
+    """Whether lam' < lam; a first column longer than the first row
+    settles it without conjugating."""
+    return bool(parts) and len(parts) <= parts[0] and _conjugate_parts(parts) < parts
+
+
+def _top_term(n: int, p: int) -> tuple[int, int, int]:
+    """(p^k, a, r) for the top base-p term a * p^k of n >= p, r = n - a * p^k."""
     e = p
     while e * p <= n:
         e *= p
     a, r = divmod(n, e)
-    quotients = _multipartitions(e, a)
-    for mu in _pprime_tuples(r, p):
-        # len(mu) + e * a beads, so that every runner holds at least a
-        beads = len(mu) + e * a
-        beta = [v + beads - 1 - i for i, v in enumerate(mu)]
-        beta += range(e * a - 1, -1, -1)
-        offsets = range(beads - 1, -1, -1)
-        runners: list[list[int]] = [[] for _ in range(e)]
-        for i, b in enumerate(beta):  # indices of each runner's beads, lowest first
-            runners[b % e].append(i)
-        for quotient in quotients:
-            moved = beta[:]
-            for runner, nu in quotient:
-                idx = runners[runner]
-                for j, v in enumerate(nu):
-                    moved[idx[j]] += e * v
-            moved.sort(reverse=True)
-            lam = list(map(sub, moved, offsets))
-            yield tuple(lam[: lam.index(0)] if lam[-1] == 0 else lam)
+    return e, a, r
+
+
+def _abacus_slides(mu: tuple[int, ...], e: int, a: int) -> Iterator[tuple[int, ...]]:
+    """Every partition with e-core mu and e-weight a, as raw tuples.
+
+    The core/quotient bijection on the beta-set abacus: one partition per
+    e-multipartition of a, made by sliding the j-th lowest bead of
+    runner i down nu^(i)_j levels.
+    """
+    # len(mu) + e * a beads, so that every runner holds at least a
+    beads = len(mu) + e * a
+    beta = [v + beads - 1 - i for i, v in enumerate(mu)]
+    beta += range(e * a - 1, -1, -1)
+    offsets = range(beads - 1, -1, -1)
+    runners: list[list[int]] = [[] for _ in range(e)]
+    for i, b in enumerate(beta):  # indices of each runner's beads, lowest first
+        runners[b % e].append(i)
+    for quotient in _multipartitions(e, a):
+        moved = beta[:]
+        for runner, nu in quotient:
+            idx = runners[runner]
+            for j, v in enumerate(nu):
+                moved[idx[j]] += e * v
+        moved.sort(reverse=True)
+        lam = list(map(sub, moved, offsets))
+        yield tuple(lam[: lam.index(0)] if lam[-1] == 0 else lam)
+
+
+def _hook_product(parts: tuple[int, ...], memo: dict) -> int:
+    """Product of all hook lengths of lam, row by row.
+
+    Row 0 of (lam_1, ..., lam_{l+1}) holds the hooks {1 .. lam_1 + l}
+    minus the first-column beta-set gaps lam_1 + j - lam_{j+1}, so its
+    product is (lam_1 + l)! / prod_{j=1..l} (lam_1 + j - lam_{j+1}).  The
+    top two rows are computed here and the product of the rest is looked
+    up in ``memo``, keyed by parts[2:].  A missing entry is filled the
+    same way, two rows at a time down to the first suffix found, with no
+    recursion, so a long column costs no stack depth.
+    """
+    tops = []
+    while (below := memo.get(parts[2:])) is None and len(parts) > 2:
+        tops.append(parts)
+        parts = parts[2:]
+    # below is None only for parts[2:] == (), whose product is 1
+    product = (below or 1) * _top_rows_hook_product(parts)
+    while tops:
+        memo[parts] = product
+        parts = tops.pop()
+        product *= _top_rows_hook_product(parts)
+    return product
+
+
+def _top_rows_hook_product(parts: tuple[int, ...]) -> int:
+    """Product of the hook lengths in the top two rows of parts: the row
+    formula of ``_hook_product`` on parts and on parts[1:], over one
+    division."""
+    ell = len(parts)
+    if ell < 2:
+        return factorial(parts[0]) if parts else 1
+    a, b = parts[0], parts[1]
+    return (factorial(a + ell - 1) * factorial(b + ell - 2)
+            // (prod(map(sub, range(a + 1, a + ell), parts[1:]))
+                * prod(map(sub, range(b + 1, b + ell - 1), parts[2:]))))
 
 
 def enumerate_partitions(n: int, *, bound: int = DEFAULT_ENUMERATION_BOUND) -> Iterator[Partition]:

@@ -56,6 +56,12 @@ CORPUS: list[list[str]] = [
     ["verify-an", "--n-max", "100", "--exact-bound", "0"],
     ["verify-an", "--n-max", "100", "--exact-bound", "0", "--format", "json"],
     ["verify-an", "--n-max", "100", "--primes", "17,19,23", "--exact-bound", "0"],
+    # the exact sets of the an-exact workload (an empty p^k-core at
+    # n = 25, the self-conjugate 7-core (3,1,1)), and primes above most
+    # n, where every partition of n < p has p'-degree
+    ["verify-an", "--n-max", "40"],
+    ["verify-an", "--n-max", "30", "--primes", "17,19,23,29,31", "--exact-bound", "30",
+     "--format", "json"],
     # a many-level p'-test
     ["degrees", "--partition", "5,3,3,1", "--p", "2", "--format", "csv"],
     # bad usage and precondition failures: exit 1, JSON record on stderr

@@ -268,6 +268,13 @@ class TestExtDegreeSet:
     def test_generated_sets_match_full_scan(self, n):
         assert scan_ext_degree_sets(n, PRIMES) == filter_ext_degree_sets(n, PRIMES)
 
+    def test_inexact_hook_product_raises(self, monkeypatch):
+        # 11 does not divide 10!, so no degree can come out of this product
+        real = hooks_mod._hook_product
+        monkeypatch.setattr(hooks_mod, "_hook_product", lambda parts, memo: 11 * real(parts, memo))
+        with pytest.raises(ArithmeticError, match=r"^hook product does not divide 10! for "):
+            scan_ext_degree_sets(10, (5,))
+
     def test_batched_scan_matches_single(self):
         sets = scan_ext_degree_sets(12, PRIMES)
         for p in PRIMES:

@@ -1,17 +1,24 @@
 """Partition, hook and core arithmetic: frozen examples and invariants."""
 
+import inspect
 import re
+import sys
+from math import factorial, prod
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ppcd.degrees import is_pprime_oracle
+from ppcd.hooks import count_pprime_partitions_formula
 from ppcd.partitions import (
     PAdicExpansion,
     Partition,
     _conjugate_parts,
+    _hook_lengths,
+    _hook_product,
     _partition_tuples,
+    _pprime_pairs,
     _pprime_tuples,
     conjugate,
     divisible_hooks,
@@ -263,3 +270,99 @@ class TestPPrimeGenerator:
             assert len(generated) == len(set(generated)), (n, p)
             expected = {lam.parts for lam in enumerate_partitions(n) if is_pprime_oracle(lam, p)}
             assert set(generated) == expected, (n, p)
+
+
+def _self_conjugate_tuples(n: int) -> list[tuple[int, ...]]:
+    """Self-conjugate partitions of n from their diagonal hooks: distinct
+    odd lengths h_1 > h_2 > ... with arm = leg = (h_i - 1) / 2, so row i
+    (i <= d) is (h_i - 1) / 2 + i and row j > d counts the rows i <= d
+    reaching column j."""
+    out = []
+
+    def extend(left: int, below: int, hooks: tuple[int, ...]):
+        if not left:
+            head = [(h - 1) // 2 + i for i, h in enumerate(hooks, 1)]
+            tail = [sum(1 for v in head if v >= j) for j in range(len(head) + 1, (head or [0])[0] + 1)]
+            out.append(tuple(head + tail))
+            return
+        for h in range(min(left, below - 2), 0, -1):
+            if h % 2:
+                extend(left - h, h, hooks + (h,))
+
+    extend(n, n + 2, ())
+    return out
+
+
+class TestPPrimePairs:
+    """``_pprime_pairs`` against ``_pprime_tuples``: one member of every
+    non-self-conjugate pair, once, and no self-conjugate partition."""
+
+    @staticmethod
+    def _check(n: int, p: int) -> None:
+        pairs = list(_pprime_pairs(n, p))
+        assert len(pairs) == len(set(pairs)), (n, p)
+        expected = set()
+        for parts in _pprime_tuples(n, p):
+            conj = _conjugate_parts(parts)
+            if conj != parts:
+                expected.add(max(parts, conj))
+        chosen = {max(parts, _conjugate_parts(parts)) for parts in pairs}
+        assert len(chosen) == len(pairs), (n, p)  # never both members of a pair
+        assert chosen == expected, (n, p)
+        assert all(_conjugate_parts(parts) != parts for parts in pairs), (n, p)
+
+    @pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 13])
+    def test_one_per_pair(self, p):
+        for n in range(31):
+            self._check(n, p)
+
+    @pytest.mark.parametrize("n,p", [(49, 7), (50, 5), (49, 2), (50, 3), (50, 7), (49, 13)])
+    def test_one_per_pair_large(self, n, p):
+        # 49 = 7^2 and 50 = 2 * 5^2 have an empty p^k-core
+        self._check(n, p)
+
+    @pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 13])
+    def test_count_is_half_mckay_minus_self_conjugate(self, p):
+        for n in [*range(31), 49, 50]:
+            self_conjugate = [parts for parts in _self_conjugate_tuples(n)
+                              if is_pprime_oracle(Partition(parts), p)]
+            pairs = sum(1 for _ in _pprime_pairs(n, p))
+            assert 2 * pairs + len(self_conjugate) == count_pprime_partitions_formula(n, p), (n, p)
+
+    def test_self_conjugate_helper(self):
+        for n in range(16):
+            assert sorted(_self_conjugate_tuples(n)) == sorted(
+                parts for parts in _partition_tuples(n) if _conjugate_parts(parts) == parts)
+
+    def test_self_conjugate_core_branch(self):
+        # (3,1,1) is a self-conjugate 7-core; on it, n = 54 = 49 + 5 keeps
+        # exactly one member of each pair that shares the core
+        assert _conjugate_parts((3, 1, 1)) == (3, 1, 1)
+        on_core = [parts for parts in _pprime_pairs(54, 7)
+                   if e_core(Partition(parts), 49).parts == (3, 1, 1)]
+        assert on_core and all(_conjugate_parts(parts) < parts for parts in on_core)
+
+
+class TestHookProduct:
+    def test_matches_hook_lengths_shared_memo(self):
+        memo = {}
+        for n in range(23):
+            for parts in _partition_tuples(n):
+                assert _hook_product(parts, memo) == prod(_hook_lengths(parts)), parts
+
+    def test_matches_hook_lengths_fresh_memo(self):
+        for n in range(23):
+            for parts in _partition_tuples(n):
+                assert _hook_product(parts, {}) == prod(_hook_lengths(parts)), parts
+
+    def test_long_column_needs_no_recursion(self):
+        # a recursive fill would need one frame per two rows: 200 here
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(len(inspect.stack()) + 50)
+        try:
+            column = _hook_product((1,) * 400, {})
+            near_column = _hook_product((2,) + (1,) * 399, {})
+        finally:
+            sys.setrecursionlimit(limit)
+        assert column == factorial(400)
+        assert near_column == factorial(401) // 400
