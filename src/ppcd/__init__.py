@@ -1,11 +1,12 @@
 """p'-character-degree combinatorics with built-in verification oracles.
 
-Partitions, hooks and e-cores; exact symmetric/alternating character
-degrees with two independent p'-degree tests; the p'-hook counting
-formula against two constructions of the set; quasihook families and
-the extendable-degree lower bound for A_n; and the degree polynomials
-in q used for the small Lie-type families, with their divisibility
-contracts.
+Partitions, hooks and e-cores; exact symmetric-group character degrees
+with two independent p'-degree tests; the p'-hook counting formula
+against two constructions of the set; quasihook families and the
+extendable-degree lower bound for A_n; and the degree polynomials in q
+used for the small Lie-type families, with their divisibility
+contracts.  Each public helper that no CLI path uses is the oracle of a
+named check.
 """
 
 from .ctbl import (
@@ -18,13 +19,11 @@ from .ctbl import (
     pgl2_degree_set,
 )
 from .degrees import (
-    an_degrees,
     binomial_coprime_lucas,
     degree,
     degree_valuation,
     factorial_valuation,
     hook_degree,
-    hook_degree_valuation,
     is_pprime_macdonald,
     is_pprime_oracle,
 )
@@ -35,7 +34,6 @@ from .hooks import (
     ext_pprime_degree_set,
     filter_ext_degree_sets,
     halved_count_lower_bound,
-    layered_pprime_hooks,
     list_pprime_hooks,
     pprime_hook_xs,
     quasihook,
@@ -49,10 +47,8 @@ from .lie import (
     CentralizerSpec,
     DegreeFormula,
     ExceptionalPairRecord,
-    NonIntegralDegreeError,
     classical_grid,
     classical_unipotent_pair,
-    eval_formula,
     exceptional_grid,
     exceptional_pair,
     exceptional_pair_record,
@@ -61,19 +57,14 @@ from .lie import (
     not_both_divisible,
     qprime_part,
     semisimple_degree,
-    steinberg_qpower,
 )
 from .partitions import (
-    PAdicExpansion,
     Partition,
     conjugate,
     divisible_hooks,
     e_core,
     e_core_by_removal,
-    enumerate_hooks,
     enumerate_partitions,
-    hook_length,
-    hook_multiset,
     hook_partition,
     is_prime,
     is_self_conjugate,

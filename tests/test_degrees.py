@@ -8,19 +8,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ppcd.degrees import (
-    an_degrees,
     binomial_coprime_lucas,
     degree,
     degree_valuation,
     factorial_valuation,
     hook_degree,
-    hook_degree_valuation,
     int_valuation,
     is_pprime_macdonald,
     is_pprime_oracle,
 )
 from ppcd.hooks import pprime_hook_xs, quasihook
-from ppcd.partitions import Partition, conjugate, enumerate_partitions
+from ppcd.partitions import Partition, conjugate, enumerate_partitions, is_self_conjugate
 
 from test_partitions import partitions
 
@@ -148,13 +146,7 @@ class TestLucas:
                     assert binomial_coprime_lucas(n, k, p) == (comb(n, k) % p != 0)
 
     def test_agrees_with_valuation_oracle_full_range(self):
-        # same question three ways: digit comparison, Legendre valuation
-        # of the binomial, and (small n) the diagram-based oracle
-        for p in PRIMES:
-            for n in range(1, 301):
-                for x in range(n):
-                    lucas = binomial_coprime_lucas(n - 1, x, p)
-                    assert lucas == (hook_degree_valuation(n, x, p) == 0)
+        # digit comparison against the diagram-based valuation oracle
         for p in PRIMES:
             for n in range(1, 61):
                 for x in range(n):
@@ -179,22 +171,20 @@ class TestHalfRangeInjectivity:
 
 class TestAnDegrees:
     def test_examples(self):
-        assert an_degrees(Partition([4, 1])) == [4]
-        assert an_degrees(Partition([3, 1, 1])) == [3, 3]
-        assert an_degrees(Partition([3, 2, 1])) == [8, 8]
+        # A_5: (4,1) stays irreducible; (3,1,1) splits as 3 + 3.
+        # A_6: (3,2,1) splits as 8 + 8.
+        assert not is_self_conjugate(Partition([4, 1]))
+        assert degree(Partition([4, 1])) == 4
+        assert is_self_conjugate(Partition([3, 1, 1]))
+        assert degree(Partition([3, 1, 1])) == 2 * 3
+        assert is_self_conjugate(Partition([3, 2, 1]))
+        assert degree(Partition([3, 2, 1])) == 2 * 8
 
-    def test_requires_n_at_least_two(self):
-        with pytest.raises(ValueError):
-            an_degrees(Partition([1]))
-
-    @pytest.mark.parametrize("n", [5, 6])
-    def test_sum_of_squares_is_half_factorial(self, n):
-        seen = set()
-        total = 0
-        for lam in enumerate_partitions(n):
-            pair = frozenset((lam, conjugate(lam)))
-            if pair in seen:
-                continue
-            seen.add(pair)
-            total += sum(d * d for d in an_degrees(lam))
-        assert total == factorial(n) // 2
+    def test_self_conjugate_degrees_are_even(self):
+        # a self-conjugate lam (n >= 2) restricts to A_n as two
+        # constituents of equal degree, so degree(lam) is even; with
+        # criterion 5 this gives sum of squares n!/2 over A_n
+        for n in range(2, 13):
+            for lam in enumerate_partitions(n):
+                if is_self_conjugate(lam):
+                    assert degree(lam) % 2 == 0, lam

@@ -7,13 +7,13 @@ from ppcd.degrees import degree, is_pprime_macdonald, is_pprime_oracle
 from ppcd.hooks import (
     DEFAULT_SCAN_BOUND,
     _an_bound_case,
+    _layered_first_parts,
     _quasihook_witnesses,
     SCAN_BOUND_ENV,
     count_pprime_hooks_formula,
     ext_pprime_degree_set,
     filter_ext_degree_sets,
     halved_count_lower_bound,
-    layered_pprime_hooks,
     list_pprime_hooks,
     pprime_hook_xs,
     quasihook,
@@ -29,11 +29,17 @@ from ppcd.partitions import (
     _pprime_tuples,
     conjugate,
     enumerate_partitions,
+    hook_partition,
     is_prime,
     is_self_conjugate,
 )
 
 PRIMES = (5, 7, 11, 13)
+
+
+def _layered_hooks(n, p):
+    """The layered p'-hook set as partitions, by increasing leg length."""
+    return [hook_partition(n, n - m) for m in reversed(_layered_first_parts(n, p))]
 
 
 class TestHookFilter:
@@ -101,14 +107,16 @@ class TestCountFormula:
             hook_count_row(7, 4)
 
     def test_layered_examples(self):
-        assert [lam.parts for lam in layered_pprime_hooks(6, 5)] == [(6,), (1,) * 6]
-        assert len(layered_pprime_hooks(5, 5)) == 5
-        assert layered_pprime_hooks(7, 5) == list_pprime_hooks(7, 5)
+        assert [lam.parts for lam in _layered_hooks(6, 5)] == [(6,), (1,) * 6]
+        assert len(_layered_hooks(5, 5)) == 5
+        for n in (7, 26, 31, 50, 99):
+            for p in (2, 3, 5, 7):
+                assert _layered_hooks(n, p) == list_pprime_hooks(n, p), (n, p)
 
     def test_layered_members_are_pprime(self):
         for n in (7, 26, 31, 50, 99):
             for p in (5, 7):
-                for lam in layered_pprime_hooks(n, p):
+                for lam in _layered_hooks(n, p):
                     assert is_pprime_macdonald(lam, p)
 
     def test_halved_bound(self):

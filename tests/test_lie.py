@@ -12,10 +12,8 @@ from ppcd import lie
 from ppcd.lie import (
     CentralizerSpec,
     DegreeFormula,
-    NonIntegralDegreeError,
     classical_grid,
     classical_unipotent_pair,
-    eval_formula,
     exceptional_grid,
     exceptional_pair,
     exceptional_pair_record,
@@ -27,7 +25,6 @@ from ppcd.lie import (
     prime_powers_upto,
     qprime_part,
     semisimple_degree,
-    steinberg_qpower,
 )
 
 PRIME_POWERS_49 = prime_powers_upto(49)
@@ -134,36 +131,21 @@ class TestDegreeFormula:
 
     def test_eval(self):
         f = DegreeFormula(factors=((3, 1),), denominator_factors=((1, 1),))
-        assert eval_formula(f, 2) == 7
-        assert eval_formula(f, 4) == 21
-
-    def test_eval_needs_prime_power(self):
-        f = DegreeFormula(factors=((1, -1),))
-        with pytest.raises(ValueError):
-            eval_formula(f, 6)
-
-    def test_non_integral_flagged(self):
-        f = DegreeFormula(scalar=Fraction(1, 2), factors=((1, 1), (1, 1)))
-        with pytest.raises(NonIntegralDegreeError) as err:
-            eval_formula(f, 4)
-        assert err.value.value == Fraction(9, 2)
-
-    def test_str(self):
-        f = DegreeFormula(scalar=Fraction(1, 2), factors=((2, -1),), denominator_factors=((1, 1),))
-        assert str(f) == "1/2 (q^2 + 1) / (q - 1)"
+        assert f.evaluate_rational(2) == Fraction(7)
+        assert f.evaluate_rational(4) == Fraction(21)
 
 
 class TestClassicalRows:
     def test_linear_row_example(self):
         f1, f2 = classical_unipotent_pair("A", 4)
-        assert eval_formula(f1, 2) == 7
-        assert eval_formula(f2, 2) == 5
+        assert f1.evaluate_rational(2) == Fraction(7)
+        assert f2.evaluate_rational(2) == Fraction(5)
 
     def test_bc_row_example(self):
         f1, f2 = classical_unipotent_pair("B", 3)
         q = 3
-        assert eval_formula(f1, q) == (q**2 - 1) * (q**3 + 1) // (2 * (q - 1))
-        assert eval_formula(f2, q) == (q**2 + 1) * (q**3 - 1) // (2 * (q - 1))
+        assert f1.evaluate_rational(q) == Fraction((q**2 - 1) * (q**3 + 1), 2 * (q - 1))
+        assert f2.evaluate_rational(q) == Fraction((q**2 + 1) * (q**3 - 1), 2 * (q - 1))
         assert classical_unipotent_pair("C", 3) == (f1, f2)
 
     def test_b2_even_row(self):
@@ -174,23 +156,23 @@ class TestClassicalRows:
     def test_twisted_row_signs(self):
         f1, f2 = classical_unipotent_pair("2A", 4)
         q = 2
-        assert eval_formula(f1, q) == (q**3 + 1) // (q + 1)
-        assert eval_formula(f2, q) == (q**4 - 1) * (q + 1) // ((q + 1) * (q**2 - 1))
+        assert f1.evaluate_rational(q) == Fraction(q**3 + 1, q + 1)
+        assert f2.evaluate_rational(q) == Fraction((q**4 - 1) * (q + 1), (q + 1) * (q**2 - 1))
 
     def test_d_rows(self):
         f1, f2 = classical_unipotent_pair("D", 5)
         q = 2
-        assert eval_formula(f1, q) == (q**5 - 1) * (q**3 + 1) // (q**2 - 1)
-        assert eval_formula(f2, q) == (q**4 + 1) * (q**4 - 1) // (q**2 - 1)
+        assert f1.evaluate_rational(q) == Fraction((q**5 - 1) * (q**3 + 1), q**2 - 1)
+        assert f2.evaluate_rational(q) == Fraction((q**4 + 1) * (q**4 - 1), q**2 - 1)
         g1, g2 = classical_unipotent_pair("2D", 4)
-        assert eval_formula(g1, q) == (q**4 + 1) * (q**2 - 1) // (q**2 - 1)
-        assert eval_formula(g2, q) == (q**3 + 1) * (q**3 - 1) // (q**2 - 1)
+        assert g1.evaluate_rational(q) == Fraction((q**4 + 1) * (q**2 - 1), q**2 - 1)
+        assert g2.evaluate_rational(q) == Fraction((q**3 + 1) * (q**3 - 1), q**2 - 1)
 
     def test_d4_row_odd_q(self):
         f1, f2 = classical_unipotent_pair("D4", 4)
         q = 3
-        assert eval_formula(f1, q) == (q + 1) ** 3 * (q**3 + 1) // 2
-        assert eval_formula(f2, q) == (q**2 + 1) ** 2 * (q**2 + q + 1) // 2
+        assert f1.evaluate_rational(q) == Fraction((q + 1) ** 3 * (q**3 + 1), 2)
+        assert f2.evaluate_rational(q) == Fraction((q**2 + 1) ** 2 * (q**2 + q + 1), 2)
 
     def test_integrality_where_classically_stated(self):
         qs = prime_powers_upto(27)
@@ -207,7 +189,7 @@ class TestClassicalRows:
                     if odd_only and q % 2 == 0:
                         continue
                     for f in classical_unipotent_pair(family, n):
-                        eval_formula(f, q)  # must not raise
+                        assert f.evaluate_rational(q).denominator == 1, (family, n, q)
 
     def test_rank_ranges(self):
         with pytest.raises(ValueError):
@@ -218,31 +200,6 @@ class TestClassicalRows:
             classical_unipotent_pair("D4", 5)
         with pytest.raises(ValueError):
             classical_unipotent_pair("E8", 8)
-
-
-class TestSteinberg:
-    def test_values(self):
-        assert steinberg_qpower("A", 4) == 6
-        assert steinberg_qpower("2A", 5) == 10
-        assert steinberg_qpower("B", 2) == 4
-        assert steinberg_qpower("B2-even", 2) == 4
-        assert steinberg_qpower("C", 3) == 9
-        assert steinberg_qpower("D", 5) == 20
-        assert steinberg_qpower("D4", 4) == 12
-        assert steinberg_qpower("2D", 4) == 12
-
-    def test_rejects(self):
-        with pytest.raises(ValueError):
-            steinberg_qpower("A", 2)
-        with pytest.raises(ValueError):
-            steinberg_qpower("G2", 2)
-
-    def test_steinberg_coprime_to_p(self):
-        for q in (4, 5, 9):
-            for p in (5, 7, 13):
-                if q % p == 0:
-                    continue
-                assert q ** steinberg_qpower("B", 3) % p != 0
 
 
 class TestNotBothDivisible:
