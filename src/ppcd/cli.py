@@ -184,28 +184,51 @@ def cmd_verify_an(args, out) -> int:
 
 # the p cell of a block's template row: no other cell of a grid row holds a
 # minus sign followed by a digit, so its text occurs there exactly once
+# (tests/test_cli.py checks this on every block of a rank-40 grid, both
+# formats, passing and failing rows)
 _P_MARK = -1
+
+
+def _template(block, ok: bool, fmt: str) -> tuple[str, str]:
+    """The text before and after ``_P_MARK`` in one row of ``block``."""
+    buf = io.StringIO()
+    _emit_rows([block.row(_P_MARK, ok)], fmt, buf)
+    head, tail = buf.getvalue().split(str(_P_MARK))
+    return head, tail
 
 
 def _emit_blocks(blocks, fmt: str, out):
     """Write the rows of each classical-grid block as ``_emit_rows`` would.
 
-    Each block's passing and failing template rows, with ``_P_MARK`` as
-    p, go through ``_emit_rows`` once; every row is then the text before
-    the mark, str(p), and the text after it.  Returns the first failing
-    (block, p) in emission order, or None.
+    A block's passing template row, with ``_P_MARK`` as p, goes through
+    ``_emit_rows`` once and is split at the mark into ``head`` and
+    ``ok_tail``; a block with no failing prime is then the one string
+    ``head + (ok_tail + head).join(texts) + ok_tail``, where ``texts``
+    are the str(p) of its primes, shared by the blocks of one q.  A
+    block with no prime writes nothing.  Only a block with a failing
+    prime renders the failing template and is written row by row.
+    Returns the first failing (block, p) in emission order, or None.
     """
+    write = out.write
+    texts_of = {}
     first_bad = None
     for block in blocks:
-        buf = io.StringIO()
-        _emit_rows([block.row(_P_MARK, True), block.row(_P_MARK, False)], fmt, buf)
-        passing, failing = buf.getvalue().splitlines(keepends=True)
-        head, ok_tail = passing.split(str(_P_MARK))
-        _, bad_tail = failing.split(str(_P_MARK))
-        out.write("".join([head + str(p) + (bad_tail if p in block.failing else ok_tail)
-                           for p in block.primes]))
-        if first_bad is None and block.failing:
-            first_bad = block, min(block.failing)
+        primes = block.primes
+        if not primes:
+            continue
+        texts = texts_of.get(primes)
+        if texts is None:
+            texts = texts_of[primes] = [str(p) for p in primes]
+        head, ok_tail = _template(block, True, fmt)
+        failing = block.failing
+        if not failing:
+            write(head + (ok_tail + head).join(texts) + ok_tail)
+            continue
+        _, bad_tail = _template(block, False, fmt)
+        write("".join([head + text + (bad_tail if p in failing else ok_tail)
+                       for p, text in zip(primes, texts)]))
+        if first_bad is None:
+            first_bad = block, min(failing)
     return first_bad
 
 

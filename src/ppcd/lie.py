@@ -592,7 +592,9 @@ def _exceptional_defining_record(family: str, q: int, p: int) -> ExceptionalPair
     """G2/F4/triality-D4 defining-characteristic constants.
 
     These degrees are carried as data (unique characters of the stated
-    degrees); there is no independent oracle for them here.
+    degrees).  Their one oracle is the order necessary condition, each
+    degree d divides |G| and d^2 < |G|, checked over
+    ``exceptional_grid(128, 97)`` in tests/test_lie.py.
     """
     r, _ = require_prime_power(q)
     if p != r or r <= 3:

@@ -124,6 +124,12 @@ class TestVerifyAn:
         assert record["first"]["n"] == 7
 
 
+def _block(primes, failing=()):
+    """A hand-made classical-grid block; its degrees need not be consistent."""
+    return lie._ClassicalBlock("B2-even", 2, 7, Fraction(1, 2), Fraction(9, 2), primes,
+                               frozenset(failing))
+
+
 class TestVerifyLie:
     def test_small_grid(self, capsys):
         code, out, _ = run(capsys, "verify-lie", "--q-max", "4", "--p-max", "13",
@@ -174,6 +180,39 @@ class TestVerifyLie:
         out = io.StringIO()
         assert cli._emit_blocks(lie._classical_blocks(9, 13), "csv", out) is None
         assert out.getvalue().count("\n") == len(lie.classical_grid(9, 13))
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("blocks", [
+        [],
+        [_block(())],
+        [_block((5,))],
+        [_block((5,), (5,))],
+        [_block((5, 7, 11), (5, 7, 11))],
+        [_block((5, 7, 11), (5,))],
+        [_block((5, 7, 11), (11,))],
+        # the first failing row is in emission order, not the least p
+        [_block(()), _block((5, 7)), _block((7, 11), (11,)), _block((5, 13), (5,))],
+    ], ids=["none", "empty", "single", "single-failing", "all-failing", "failing-first",
+            "failing-last", "mixed"])
+    def test_block_writer_edge_cases(self, fmt, blocks):
+        rows = [(block, p) for block in blocks for p in block.primes]
+        by_blocks, by_rows = io.StringIO(), io.StringIO()
+        bad = cli._emit_blocks(blocks, fmt, by_blocks)
+        cli._emit_rows([block.row(p, p not in block.failing) for block, p in rows], fmt,
+                       by_rows)
+        assert by_blocks.getvalue() == by_rows.getvalue()
+        assert bad == next(((block, p) for block, p in rows if p in block.failing), None)
+
+    def test_p_mark_occurs_once_in_every_template(self):
+        # _emit_blocks splits each template row at the mark; a second
+        # occurrence would make that split fail
+        mark = str(cli._P_MARK)
+        for block in lie._classical_blocks(64, 199, rank_max=40):
+            for fmt in ("csv", "json"):
+                for ok in (True, False):
+                    buf = io.StringIO()
+                    cli._emit_rows([block.row(cli._P_MARK, ok)], fmt, buf)
+                    assert buf.getvalue().count(mark) == 1, (block, fmt, ok)
 
     def test_exit_record_names_first_failing_row(self, capsys):
         code, out, err = run(capsys, "verify-lie", "--q-max", "4", "--p-max", "5",

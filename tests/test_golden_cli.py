@@ -93,6 +93,13 @@ CORPUS: list[list[str]] = [
     ["verify-lie", "--families", "A,X"],
     ["verify-lie", "--p-max", "3"],
     ["verify-lie", "--families", "A", "--rank-max", "3"],
+    # the lie-grid workload's grid (exit 2); failing rows in JSON at a
+    # wider rank; blocks at q = 5, 25 and 125 with no grid prime, next to
+    # blocks that have one
+    ["verify-lie", "--q-max", "512", "--p-max", "199", "--rank-max", "16",
+     "--families", "A,2A,B,B2-even,D,D4,2D"],
+    ["verify-lie", "--q-max", "128", "--p-max", "97", "--rank-max", "16", "--format", "json"],
+    ["verify-lie", "--q-max", "125", "--p-max", "5"],
 ]
 
 

@@ -419,6 +419,21 @@ class TestNondivisibility:
             nondivisibility_check(0, 3, 5)
 
 
+# the standard order polynomials of the simple groups with a carried
+# degree pair; q is the field size (2^(2m+1) for Suzuki, 3^(2m+1) for Ree)
+_ORDER = {
+    "PSL2": lambda q: q * (q**2 - 1) // math.gcd(2, q - 1),
+    "PSL3": lambda q: q**3 * (q**2 - 1) * (q**3 - 1) // math.gcd(3, q - 1),
+    "PSU3": lambda q: q**3 * (q**2 - 1) * (q**3 + 1) // math.gcd(3, q + 1),
+    "PSp4": lambda q: q**4 * (q**2 - 1) * (q**4 - 1) // math.gcd(2, q - 1),
+    "Suzuki": lambda q: q**2 * (q**2 + 1) * (q - 1),
+    "Ree2G2": lambda q: q**3 * (q**3 + 1) * (q - 1),
+    "G2": lambda q: q**6 * (q**6 - 1) * (q**2 - 1),
+    "F4": lambda q: q**24 * (q**12 - 1) * (q**8 - 1) * (q**6 - 1) * (q**2 - 1),
+    "TriD4": lambda q: q**12 * (q**8 + q**4 + 1) * (q**6 - 1) * (q**2 - 1),
+}
+
+
 class TestExceptionalGrid:
     def test_contains_expected_rows(self):
         combos = set(exceptional_grid(128, 97))
@@ -447,6 +462,17 @@ class TestExceptionalGrid:
             d1, d2 = exceptional_pair(family, q, p)
             assert nondivisibility_check(d1, d2, p), (family, q, p, d1, d2)
             assert in_contract_regime(family, q, p)
+
+    def test_carried_degrees_meet_the_order_condition(self):
+        # a character degree d of G divides |G| and d^2 < |G|; the first
+        # oracle for the G2, F4 and 3D4 constants
+        checks = 0
+        for family, q, p in exceptional_grid(128, 97):
+            order = _ORDER[family](q)
+            for d in exceptional_pair_record(family, q, p).degrees:
+                assert order % d == 0 and d * d < order, (family, q, p, d)
+                checks += 1
+        assert checks == 6156
 
     def test_small_grid_contract(self):
         for family, q, p in exceptional_grid(32, 31):
