@@ -38,7 +38,6 @@ from .hooks import (
     pprime_hook_xs,
     quasihook,
     quasihook_monotone,
-    scan_bound,
     scan_ext_degree_sets,
     verify_An_bound,
     verify_hook_counts,

@@ -149,11 +149,10 @@ def cmd_count(args, out) -> int:
 
 def cmd_verify_an(args, out) -> int:
     primes = _parse_primes(args.primes)
-    exact_bound = args.exact_bound if args.exact_bound is not None else hooks_mod.scan_bound()
     violations = []
     rows = []
     for n in range(7, args.n_max + 1):
-        exact_sets = hooks_mod.scan_ext_degree_sets(n, primes) if n <= exact_bound else None
+        exact_sets = hooks_mod.scan_ext_degree_sets(n, primes) if n <= args.exact_bound else None
         for p in primes:
             formula = hooks_mod.count_pprime_hooks_formula(n, p)
             enum = len(hooks_mod.pprime_hook_xs(n, p))
@@ -166,7 +165,7 @@ def cmd_verify_an(args, out) -> int:
                     and ext_found >= hooks_mod.halved_count_lower_bound(n, p)
                 )
             else:
-                ext_found = len(hooks_mod.ext_pprime_degree_set(n, p, bound=exact_bound))
+                ext_found = len(hooks_mod.ext_pprime_degree_set(n, p, bound=args.exact_bound))
                 bound_ok = result.ok
             if formula != enum or not bound_ok:
                 violations.append({"n": n, "p": p, "formula": formula,
@@ -324,7 +323,7 @@ def build_parser() -> _Parser:
     p_van = sub.add_parser("verify-an", help="alternating-group degree bound grid")
     p_van.add_argument("--n-max", type=int, required=True)
     p_van.add_argument("--primes", type=str, default="5,7,11,13")
-    p_van.add_argument("--exact-bound", type=int, default=None)
+    p_van.add_argument("--exact-bound", type=int, default=hooks_mod.DEFAULT_SCAN_BOUND)
     p_van.add_argument("--format", choices=("csv", "json"), default="csv")
     p_van.set_defaults(func=cmd_verify_an)
 
@@ -372,10 +371,7 @@ def main(argv: list[str] | None = None) -> int:
     except BrokenPipeError:
         _discard_stdout()
         return 1
-    except CliError as exc:
-        _fail({"error": str(exc)})
-        return 1
-    except (ValueError, ArithmeticError) as exc:
+    except (CliError, ValueError, ArithmeticError) as exc:
         _fail({"error": str(exc)})
         return 1
 

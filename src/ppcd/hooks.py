@@ -32,9 +32,7 @@ against.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
-from functools import lru_cache
 from itertools import accumulate
 from math import factorial, prod
 
@@ -57,7 +55,6 @@ from .partitions import (
 __all__ = [
     "AnBoundResult",
     "DEFAULT_SCAN_BOUND",
-    "SCAN_BOUND_ENV",
     "count_pprime_hooks_formula",
     "count_pprime_partitions_formula",
     "ext_pprime_degree_set",
@@ -68,28 +65,12 @@ __all__ = [
     "pprime_hook_xs",
     "quasihook",
     "quasihook_monotone",
-    "scan_bound",
     "scan_ext_degree_sets",
     "verify_An_bound",
     "verify_hook_counts",
 ]
 
 DEFAULT_SCAN_BOUND = 40
-SCAN_BOUND_ENV = "PPCD_SCAN_BOUND"
-
-
-def scan_bound() -> int:
-    """Largest n for exact mode; PPCD_SCAN_BOUND overrides."""
-    raw = os.environ.get(SCAN_BOUND_ENV)
-    if raw is None:
-        return DEFAULT_SCAN_BOUND
-    try:
-        value = int(raw)
-    except ValueError:
-        raise ValueError(f"{SCAN_BOUND_ENV} must be an integer, got {raw!r}") from None
-    if value < 0:
-        raise ValueError(f"{SCAN_BOUND_ENV} must be non-negative, got {value}")
-    return value
 
 
 def _digit_sums(limit: int, p: int) -> list[int]:
@@ -162,25 +143,24 @@ def _divisor_sum(m: int) -> int:
     return sum(d for d in range(1, m + 1) if m % d == 0)
 
 
-@lru_cache(maxsize=None)
-def _layered_first_parts(n: int, p: int) -> tuple[int, ...]:
+def _layered_first_parts(n: int, p: int) -> list[int]:
     """First parts of the p'-degree hooks of n, layered construction.
 
-    Single base-p digit: every hook of n qualifies (for n < p because p
-    does not divide n!, for n = a * p^e because the full first hook is
-    stripped in one layer).  Otherwise each p'-hook of m = n minus the
-    top layer grows by x top-power hooks on the row and the rest on the
-    column, x = 0 .. a; the first part determines the hook.
+    With n = sum a_j p^{e_j} (nonzero digits, increasing exponents), the
+    lowest term alone admits every hook (for a p^e < p because p does not
+    divide its factorial, else because the full first hook is stripped in
+    one layer).  Each higher term a p^e then grows every p'-hook of the
+    lower part m by x top-power hooks on the row and the rest on the
+    column, x = 0 .. a, i.e. adds x p^e to its first part, which
+    determines the hook.  As m < p^e, the block for x lies above the
+    block for x - 1, so the list stays increasing and needs no sort.
     """
-    digits = p_adic_expansion(n, p)
-    if len(digits) == 1:
-        return tuple(range(1, n + 1))
-    a, e = digits[-1]
-    step = p**e
-    out = []
-    for g1 in _layered_first_parts(n - a * step, p):
-        out.extend(g1 + x * step for x in range(a + 1))
-    return tuple(sorted(out))
+    (a, e), *higher = p_adic_expansion(n, p)
+    firsts = list(range(1, a * p**e + 1))
+    for a, e in higher:
+        step = p**e
+        firsts = [g + off for off in range(0, (a + 1) * step, step) for g in firsts]
+    return firsts
 
 
 def hook_count_row(n: int, p: int, _sums: list[int] | None = None) -> dict:
@@ -195,7 +175,7 @@ def hook_count_row(n: int, p: int, _sums: list[int] | None = None) -> dict:
     layered = _layered_first_parts(n, p)
     ok = (
         formula == len(xs) == len(layered)
-        and [n - x for x in reversed(xs)] == list(layered)
+        and [n - x for x in reversed(xs)] == layered
     )
     return {"n": n, "p": p, "formula": formula, "filtered": len(xs),
             "layered": len(layered), "ok": ok}
@@ -324,10 +304,10 @@ def filter_ext_degree_sets(n: int, primes: tuple[int, ...]) -> dict[int, set[int
     return out
 
 
-def ext_pprime_degree_set(n: int, p: int, *, bound: int | None = None) -> set[int]:
+def ext_pprime_degree_set(n: int, p: int, *, bound: int = DEFAULT_SCAN_BOUND) -> set[int]:
     """Degrees of p'-degree A_n characters that extend to S_n.
 
-    Exact for n within the scan bound, generated from the p-core tower
+    Exact for n <= ``bound``, generated from the p-core tower
     (``scan_ext_degree_sets``); above it, a certified subset built from
     p'-hooks and the quasihook families, every member re-checked
     p'-degree before inclusion.
@@ -335,8 +315,7 @@ def ext_pprime_degree_set(n: int, p: int, *, bound: int | None = None) -> set[in
     require_prime(p)
     if n < 1:
         raise ValueError(f"expected n >= 1, got {n!r}")
-    b = scan_bound() if bound is None else bound
-    if n <= b:
+    if n <= bound:
         return scan_ext_degree_sets(n, (p,))[p]
     return _constructive_ext_degrees(n, p)
 

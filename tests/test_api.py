@@ -3,7 +3,10 @@
 Every function the traced benchmark wraps must exist, every ``__all__``
 entry must resolve, and every name the package re-exports must be in its
 module's ``__all__``.  Deleting a name that ``perfbench/trace_layers.py``
-wraps would otherwise only show as a failed ``--trace 1`` run.
+wraps would otherwise only show as a failed ``--trace 1`` run.  And
+every call depends only on its arguments: no module reads the
+environment, and no cache grows without bound unless it is listed with
+its reason in ``UNBOUNDED_CACHES``.
 """
 
 import ast
@@ -17,6 +20,13 @@ import pytest
 import ppcd
 
 TRACE_LAYERS = Path(__file__).resolve().parents[1] / "perfbench" / "trace_layers.py"
+SOURCES = sorted(Path(ppcd.__file__).parent.glob("*.py"))
+ENV_READERS = {"environ", "environb", "getenv", "getenvb"}
+UNBOUNDED_CACHES = {
+    # keyed by (p^k, a) with a < p: a handful of entries per prime, and
+    # the an-exact scan reuses them across n
+    "partitions._multipartitions",
+}
 MODULES = ("ppcd.partitions", "ppcd.degrees", "ppcd.hooks", "ppcd.lie", "ppcd.ctbl", "ppcd.cli")
 
 
@@ -70,3 +80,54 @@ def test_package_imports_are_in_module_all():
     stray = [(module, name) for module, name in imports
              if name not in importlib.import_module(module).__all__]
     assert not stray
+
+
+def _source_ids():
+    return [path.stem for path in SOURCES]
+
+
+def _reads_environment(node) -> bool:
+    if isinstance(node, ast.Attribute):
+        return (isinstance(node.value, ast.Name) and node.value.id == "os"
+                and node.attr in ENV_READERS)
+    if isinstance(node, ast.ImportFrom):
+        return node.module == "os" and any(alias.name in ENV_READERS for alias in node.names)
+    return False
+
+
+def _unbounded_cache(decorator) -> bool:
+    """Whether a decorator is ``cache`` or an ``lru_cache`` without an integer maxsize."""
+    call = decorator if isinstance(decorator, ast.Call) else None
+    target = call.func if call else decorator
+    name = target.attr if isinstance(target, ast.Attribute) else getattr(target, "id", None)
+    if name == "cache":
+        return True
+    if name != "lru_cache":
+        return False
+    if call is None:  # a bare @lru_cache leaves its bound unwritten
+        return True
+    sizes = [kw.value for kw in call.keywords if kw.arg == "maxsize"] + call.args[:1]
+    return not (sizes and isinstance(sizes[0], ast.Constant) and type(sizes[0].value) is int)
+
+
+def test_sources_found():
+    assert {"hooks", "partitions", "cli"} <= set(_source_ids())
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=_source_ids())
+def test_no_module_reads_the_environment(path):
+    tree = ast.parse(path.read_text())
+    reads = [node.lineno for node in ast.walk(tree) if _reads_environment(node)]
+    assert reads == [], f"{path.name} reads the environment at lines {reads}"
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=_source_ids())
+def test_every_cache_is_bounded_or_listed(path):
+    tree = ast.parse(path.read_text())
+    unbounded = {
+        f"{path.stem}.{node.name}"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.FunctionDef)
+        and any(_unbounded_cache(d) for d in node.decorator_list)
+    }
+    assert unbounded <= UNBOUNDED_CACHES, sorted(unbounded - UNBOUNDED_CACHES)

@@ -100,6 +100,13 @@ CORPUS: list[list[str]] = [
      "--families", "A,2A,B,B2-even,D,D4,2D"],
     ["verify-lie", "--q-max", "128", "--p-max", "97", "--rank-max", "16", "--format", "json"],
     ["verify-lie", "--q-max", "125", "--p-max", "5"],
+    # layered p'-hook sets: 14 layers, every digit p - 1, a single digit
+    ["count", "--n", "16383", "--p", "2"],
+    ["count", "--n", "19682", "--p", "3"],
+    ["count", "--n", "15624", "--p", "5"],
+    ["count", "--n", "3125", "--p", "5"],
+    # rows on both sides of the default exact bound, with no flag
+    ["verify-an", "--n-max", "42", "--primes", "5"],
 ]
 
 

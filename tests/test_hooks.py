@@ -1,7 +1,12 @@
 """p'-hook sets, quasihook families, and the A_n degree-set bound."""
 
+import gc
+import sys
+import tracemalloc
+
 import pytest
 
+from ppcd import cli
 from ppcd import hooks as hooks_mod
 from ppcd.degrees import degree, is_pprime_macdonald, is_pprime_oracle
 from ppcd.hooks import (
@@ -9,7 +14,6 @@ from ppcd.hooks import (
     _an_bound_case,
     _layered_first_parts,
     _quasihook_witnesses,
-    SCAN_BOUND_ENV,
     count_pprime_hooks_formula,
     ext_pprime_degree_set,
     filter_ext_degree_sets,
@@ -18,7 +22,6 @@ from ppcd.hooks import (
     pprime_hook_xs,
     quasihook,
     quasihook_monotone,
-    scan_bound,
     scan_ext_degree_sets,
     verify_An_bound,
     hook_count_row,
@@ -118,6 +121,27 @@ class TestCountFormula:
             for p in (5, 7):
                 for lam in _layered_hooks(n, p):
                     assert is_pprime_macdonald(lam, p)
+
+    def test_count_keeps_nothing_across_calls(self, monkeypatch):
+        class _Null:
+            def write(self, text):
+                return len(text)
+
+            def flush(self):
+                pass
+
+        monkeypatch.setattr(sys, "stdout", _Null())
+        assert cli.main(["count", "--n", "19000", "--p", "5"]) == 0
+        gc.collect()
+        tracemalloc.start()
+        try:
+            for n in range(19000, 20000, 25):
+                assert cli.main(["count", "--n", str(n), "--p", "5"]) == 0
+            gc.collect()
+            retained, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert retained < 100_000
 
     def test_halved_bound(self):
         assert halved_count_lower_bound(7, 5) == 2
@@ -288,14 +312,12 @@ class TestExtDegreeSet:
         for p in PRIMES:
             assert sets[p] == ext_pprime_degree_set(12, p)
 
-    def test_scan_bound_env_override(self, monkeypatch):
-        monkeypatch.delenv(SCAN_BOUND_ENV, raising=False)
-        assert scan_bound() == DEFAULT_SCAN_BOUND
-        monkeypatch.setenv(SCAN_BOUND_ENV, "12")
-        assert scan_bound() == 12
-        monkeypatch.setenv(SCAN_BOUND_ENV, "junk")
-        with pytest.raises(ValueError):
-            scan_bound()
+    def test_default_bound_is_exact_up_to_40(self):
+        assert DEFAULT_SCAN_BOUND == 40
+        assert ext_pprime_degree_set(40, 5) == scan_ext_degree_sets(40, (5,))[5]
+
+    def test_default_bound_is_constructive_above_40(self):
+        assert ext_pprime_degree_set(41, 5) == ext_pprime_degree_set(41, 5, bound=0)
 
 
 class TestAnBound:
