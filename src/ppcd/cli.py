@@ -97,11 +97,17 @@ def cmd_hooks(args, out) -> int:
     n, p = args.n, args.p
     xs = hooks_mod.pprime_hook_xs(n, p)
     formula = hooks_mod.count_pprime_hooks_formula(n, p)
-    # each hook (n - x, 1^x) is written straight as its JSON row, with no
-    # Partition built and no n integers per hook for json.dumps to encode
+    # each hook (n - x, 1^x) is written straight as its JSON row, one
+    # write per hook, with no Partition built and no n integers per hook
+    # for json.dumps to encode; memory is bounded by one row, not the list
     head = json.dumps({"n": n, "p": p, "count": len(xs), "formula": formula})
-    rows = ", ".join("[" + str(n - x) + ", 1" * x + "]" for x in xs)
-    out.write(head[:-1] + ', "hooks": [' + rows + "]}\n")
+    write = out.write
+    write(head[:-1] + ', "hooks": [')
+    sep = ""
+    for x in xs:
+        write(sep + "[" + str(n - x) + ", 1" * x + "]")
+        sep = ", "
+    write("]}\n")
     if formula != len(xs):
         _fail({"violation": "hook-count", "n": n, "p": p,
                "formula": formula, "enumerated": len(xs)})

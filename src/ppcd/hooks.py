@@ -4,8 +4,11 @@ The set of p'-degree hooks of n is built two independent ways: by
 filtering binomial coefficients with Kummer digit sums
 (``pprime_hook_xs``), and by the layered construction that adds top
 p-power hooks to the row and column of each smaller member
-(``_layered_first_parts``).  Their agreement with the closed counting
-formula a_1 * p^{n_1} * prod(a_j + 1) is the main verification target.
+(``_layered_first_parts``).  The filter tests every leg length: its
+digit-sum table is built a power of p at a time, and the test, being
+symmetric in x <-> n - 1 - x, runs on the lower half and is mirrored.
+Their agreement with the closed counting formula
+a_1 * p^{n_1} * prod(a_j + 1) is the main verification target.
 Two public names serve checks, not any CLI path: ``list_pprime_hooks``
 is the filtered set as partitions, for the brute-force test against the
 valuation oracle, and ``quasihook_monotone`` is acceptance criterion 4.
@@ -74,10 +77,18 @@ DEFAULT_SCAN_BOUND = 40
 
 
 def _digit_sums(limit: int, p: int) -> list[int]:
-    """s[i] = sum of base-p digits of i, for 0 <= i <= limit."""
-    s = [0] * (limit + 1)
-    for i in range(1, limit + 1):
-        s[i] = s[i // p] + i % p
+    """s[i] = sum of base-p digits of i, for 0 <= i <= limit.
+
+    Built a power of p at a time: with s the table of the p^k numbers
+    below p^k, d p^k + j (d < p, j < p^k) has digit sum d + s[j], so the
+    next table is s shifted by d for each d < p up to limit // p^k, cut
+    to limit + 1 entries once it covers limit.  The seed is the
+    one-digit numbers.
+    """
+    s = list(range(min(p, limit + 1)))
+    while len(s) <= limit:
+        s = [d + v for d in range(min(p, limit // len(s) + 1)) for v in s]
+    del s[limit + 1:]
     return s
 
 
@@ -86,7 +97,11 @@ def pprime_hook_xs(n: int, p: int, _sums: list[int] | None = None) -> list[int]:
 
     Kummer: the exponent of p in binomial(a+b, a) counts the carries of
     a + b in base p, so x qualifies iff the digit sums of x and n-1-x
-    add up to that of n-1 with no carry.
+    add up to that of n-1 with no carry.  The test is symmetric in
+    x <-> r - x (r = n - 1), so it runs on x <= r // 2 only, and the
+    upper half is the mirror r - x of the hits, without the middle leg
+    x = r / 2 a second time.  ``_sums`` may be longer than n: it is read
+    from index r down.
     """
     require_prime(p)
     if n < 1:
@@ -94,7 +109,8 @@ def pprime_hook_xs(n: int, p: int, _sums: list[int] | None = None) -> list[int]:
     s = _digit_sums(n - 1, p) if _sums is None else _sums
     r = n - 1
     target = s[r]
-    return [x for x in range(n) if s[x] + s[r - x] == target]
+    low = [x for x, a, b in zip(range(r // 2 + 1), s, s[r::-1]) if a + b == target]
+    return low + [r - x for x in reversed(low) if 2 * x != r]
 
 
 def list_pprime_hooks(n: int, p: int) -> list[Partition]:

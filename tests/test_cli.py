@@ -411,3 +411,17 @@ class TestErrorsAndDeterminism:
         proc.stderr.close()
         assert proc.wait(timeout=60) == 1
         assert first.startswith(b"A,") and err == b""
+
+    def test_closed_stdout_mid_hooks_exits_quietly(self):
+        # the whole list is one line of ~28 MB, written hook by hook: the
+        # reader takes a first chunk and closes, so a row write raises
+        # BrokenPipeError inside the loop
+        proc = subprocess.Popen(_ppcd_argv("hooks", "--n", "5000", "--p", "5"),
+                                env=_ppcd_env(), stdout=subprocess.PIPE,
+                                stderr=subprocess.PIPE)
+        first = proc.stdout.read(4096)
+        proc.stdout.close()
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert proc.wait(timeout=60) == 1
+        assert first.startswith(b'{"n": 5000, "p": 5, "count": 3750') and err == b""

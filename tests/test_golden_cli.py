@@ -107,6 +107,16 @@ CORPUS: list[list[str]] = [
     ["count", "--n", "3125", "--p", "5"],
     # rows on both sides of the default exact bound, with no flag
     ["verify-an", "--n-max", "42", "--primes", "5"],
+    # the symmetric filter: the largest hooks list of the queries corpus,
+    # r = n - 1 odd (no middle leg) and even (middle leg x = r/2), p > n;
+    # every x qualifying at r = 13^3 - 1, and the digit-sum table crossing
+    # a power of p at r = 13^3
+    ["hooks", "--n", "1352", "--p", "13"],
+    ["hooks", "--n", "2", "--p", "2"],
+    ["hooks", "--n", "3", "--p", "3"],
+    ["hooks", "--n", "50", "--p", "53"],
+    ["count", "--n", "2197", "--p", "13"],
+    ["count", "--n", "2198", "--p", "13"],
 ]
 
 

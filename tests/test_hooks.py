@@ -40,6 +40,30 @@ from ppcd.partitions import (
 PRIMES = (5, 7, 11, 13)
 
 
+class _NullOut:
+    """A stdout that drops what is written."""
+
+    def write(self, text):
+        return len(text)
+
+    def flush(self):
+        pass
+
+
+def _digit_sums_oracle(limit, p):
+    """The digit-sum recurrence s[i] = s[i // p] + i % p, one entry at a time."""
+    s = [0] * (limit + 1)
+    for i in range(1, limit + 1):
+        s[i] = s[i // p] + i % p
+    return s
+
+
+def _pprime_hook_xs_oracle(n, p, sums):
+    """The Kummer test on every x in range(n), with no use of its symmetry."""
+    r = n - 1
+    return [x for x in range(n) if sums[x] + sums[r - x] == sums[r]]
+
+
 def _layered_hooks(n, p):
     """The layered p'-hook set as partitions, by increasing leg length."""
     return [hook_partition(n, n - m) for m in reversed(_layered_first_parts(n, p))]
@@ -86,6 +110,36 @@ class TestHookFilter:
                 assert has_selfconj == (count % 2 == 1)
 
 
+ORACLE_PRIMES = (2, 3, 5, 7, 11, 13, 2003)
+
+
+class TestFilterOracle:
+    @pytest.mark.parametrize("p", ORACLE_PRIMES)
+    def test_digit_sums_at_powers(self, p):
+        limit_max = 30_000
+        oracle = _digit_sums_oracle(limit_max + 1, p)
+        limits = {0, 1, 2, limit_max}
+        power = 1
+        while power <= limit_max:
+            limits.update((power - 1, power, power + 1))
+            power *= p
+        for limit in sorted(limits):
+            assert hooks_mod._digit_sums(limit, p) == oracle[:limit + 1], limit
+
+    @pytest.mark.parametrize("p", ORACLE_PRIMES)
+    def test_filter_matches_full_range(self, p):
+        sums = _digit_sums_oracle(1999, p)
+        for n in range(1, 2001):
+            assert pprime_hook_xs(n, p) == _pprime_hook_xs_oracle(n, p, sums), n
+
+    @pytest.mark.parametrize("p", ORACLE_PRIMES)
+    def test_filter_with_longer_shared_table(self, p):
+        # verify_hook_counts passes one table for every n up to n_max
+        shared = hooks_mod._digit_sums(2500, p)
+        for n in range(1, 2001):
+            assert pprime_hook_xs(n, p, shared) == _pprime_hook_xs_oracle(n, p, shared), n
+
+
 class TestCountFormula:
     def test_examples(self):
         assert count_pprime_hooks_formula(7, 5) == 4
@@ -123,14 +177,7 @@ class TestCountFormula:
                     assert is_pprime_macdonald(lam, p)
 
     def test_count_keeps_nothing_across_calls(self, monkeypatch):
-        class _Null:
-            def write(self, text):
-                return len(text)
-
-            def flush(self):
-                pass
-
-        monkeypatch.setattr(sys, "stdout", _Null())
+        monkeypatch.setattr(sys, "stdout", _NullOut())
         assert cli.main(["count", "--n", "19000", "--p", "5"]) == 0
         gc.collect()
         tracemalloc.start()
@@ -142,6 +189,19 @@ class TestCountFormula:
         finally:
             tracemalloc.stop()
         assert retained < 100_000
+
+    def test_hooks_memory_is_one_row(self, monkeypatch):
+        # 3 750 hooks and ~28 MB of output, written row by row
+        monkeypatch.setattr(sys, "stdout", _NullOut())
+        assert cli.main(["hooks", "--n", "7", "--p", "5"]) == 0
+        gc.collect()
+        tracemalloc.start()
+        try:
+            assert cli.main(["hooks", "--n", "5000", "--p", "5"]) == 0
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000
 
     def test_halved_bound(self):
         assert halved_count_lower_bound(7, 5) == 2
