@@ -82,12 +82,9 @@ def _fail(record: dict) -> None:
 
 def _parse_primes(text: str) -> tuple[int, ...]:
     try:
-        primes = tuple(int(tok) for tok in text.split(","))
+        return tuple(int(tok) for tok in text.split(","))
     except ValueError:
         raise CliError(f"bad prime list {text!r}") from None
-    if not primes:
-        raise CliError("empty prime list")
-    return primes
 
 
 # -- subcommands --------------------------------------------------------------

@@ -471,9 +471,6 @@ def verify_An_bound(n: int, p: int) -> AnBoundResult:
     if case == "1+a*p^k":
         wits = {1} | _quasihook_witnesses(n, p, 2, 2)
         method = "quasihook-row2"
-    elif case == "2+p^k" and n == 7:  # p^k = 5
-        wits = scan_ext_degree_sets(n, (p,))[p]
-        method = "direct-scan"
     elif case == "2+p^k":
         wits = {1} | _quasihook_witnesses(n, p, 3, 2)
         method = "quasihook-row3"

@@ -2,7 +2,7 @@
 
 Four layers:
 
-* ``DegreeFormula`` -- a product form scalar * q^e * prod(q^m - s) over
+* ``DegreeFormula`` -- a product form scalar * prod(q^m - s) over
   prod(q^m - s), evaluated to an exact rational.  A few of the
   classical q'-part entries carry a bare 1/2 that only clears for odd
   q; at even q they are non-integral, and the grid prints them as such.
@@ -14,17 +14,24 @@ Four layers:
   is computed by (family, rank, q) block: d1 and d2 are fixed within a
   block, and p divides both exactly when p | gcd(d1.numerator,
   d2.numerator), so one gcd per block gives every failing p.
-* per-family data for the small-rank groups (PSL2, PSL3/PSU3, PSp4,
-  the Suzuki and small Ree groups, and the defining-characteristic
-  G2/F4/triality-D4 constants), selecting for each (family, q, p) a
-  pair of p'-degrees (d1, d2) with d2 never dividing d1.
+* the small families (PSL2, PSL3/PSU3, PSp4, the Suzuki and small Ree
+  groups, and the defining-characteristic G2/F4/triality-D4
+  constants), each selecting for every (family, q, p) of its domain a
+  pair of p'-degrees (d1, d2) with d2 never dividing d1.  One table,
+  ``_SMALL_FAMILIES``, maps each family to its record builder and to
+  whether the pair is claimed only in defining characteristic;
+  ``exceptional_pair_record``, ``in_contract_regime`` and
+  ``exceptional_grid`` all read it, the grid being the (family, q, p)
+  whose builder accepts them and whose regime holds.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from fractions import Fraction
-from math import gcd, prod
+from itertools import groupby
+from math import gcd, isqrt, prod
 from typing import NamedTuple
 
 from .partitions import is_prime, require_int, require_prime
@@ -52,30 +59,24 @@ __all__ = [
 
 
 def prime_power_decomposition(q: int) -> tuple[int, int] | None:
-    """(r, a) with q = r^a and r prime, or None."""
-    try:
-        return require_prime_power(q)
-    except ValueError:
+    """(r, a) with q = r^a and r prime, or None (also for a non-int or q < 2)."""
+    if not isinstance(q, int) or isinstance(q, bool) or q < 2:
         return None
-
-
-def require_prime_power(q: int) -> tuple[int, int]:
-    require_int(q, 2, "expected a prime power >= 2, got {!r}")
-    r = q
-    for f in range(2, q):
-        if f * f > q:
-            break
-        if q % f == 0:
-            r = f
-            break
+    r = next((f for f in range(2, isqrt(q) + 1) if q % f == 0), q)
     a = 0
     m = q
     while m % r == 0:
         m //= r
         a += 1
-    if m != 1:
+    return (r, a) if m == 1 else None
+
+
+def require_prime_power(q: int) -> tuple[int, int]:
+    """``prime_power_decomposition(q)``, or ValueError where it is None."""
+    dec = prime_power_decomposition(q)
+    if dec is None:
         raise ValueError(f"expected a prime power >= 2, got {q!r}")
-    return r, a
+    return dec
 
 
 def prime_powers_upto(limit: int, *, minimum: int = 2) -> list[int]:
@@ -89,14 +90,13 @@ def _primes_in(lo: int, hi: int) -> list[int]:
 
 @dataclass(frozen=True)
 class DegreeFormula:
-    """scalar * q^qpower * prod(q^m - s) / prod(q^m - s), s = +-1.
+    """scalar * prod(q^m - s) / prod(q^m - s), s = +-1.
 
     ``evaluate_rational`` gives the exact value at q; the 1/2-scalar
     rows are non-integral at even q, and no integrality is enforced.
     """
 
     scalar: Fraction = Fraction(1)
-    qpower: int = 0
     factors: tuple[tuple[int, int], ...] = ()
     denominator_factors: tuple[tuple[int, int], ...] = ()
 
@@ -105,14 +105,12 @@ class DegreeFormula:
         object.__setattr__(self, "scalar", scalar)
         if scalar <= 0:
             raise ValueError(f"scalar must be positive, got {scalar}")
-        if self.qpower < 0:
-            raise ValueError(f"q-power must be non-negative, got {self.qpower}")
         for m, s in self.factors + self.denominator_factors:
             if m < 1 or s not in (1, -1):
                 raise ValueError(f"bad factor (m, s) = ({m}, {s})")
 
     def evaluate_rational(self, q: int) -> Fraction:
-        num = self.scalar.numerator * q**self.qpower
+        num = self.scalar.numerator
         for m, s in self.factors:
             num *= q**m - s
         den = self.scalar.denominator
@@ -419,25 +417,6 @@ def classical_grid(
 
 # -- exceptional pairs for the excluded small families -----------------------
 
-_EXC_ALIASES = {
-    "PSL3e": "PSL3",
-    "2B2": "Suzuki",
-    "2G2": "Ree2G2",
-    "3D4": "TriD4",
-}
-
-_EXC_FAMILIES = (
-    "PSL2",
-    "PSL3",
-    "PSU3",
-    "PSp4",
-    "Suzuki",
-    "Ree2G2",
-    "G2",
-    "F4",
-    "TriD4",
-)
-
 
 @dataclass(frozen=True)
 class CharacterWitness:
@@ -615,25 +594,40 @@ def _exceptional_defining_record(family: str, q: int, p: int) -> ExceptionalPair
     return ExceptionalPairRecord(family, q, p, "defining", chi1, chi2)
 
 
+# family -> (record builder, claimed only in defining characteristic).
+# A builder (q, p) -> record raises ValueError outside its domain.  The
+# PSp4 and exceptional-type pairs carry no divisibility guarantee off
+# the defining prime; the other families' case split covers every p.
+_SMALL_FAMILIES = {
+    "PSL2": (_psl2_record, False),
+    "PSL3": (partial(_psl3_record, "PSL3"), False),
+    "PSU3": (partial(_psl3_record, "PSU3"), False),
+    "PSp4": (_psp4_record, True),
+    "G2": (partial(_exceptional_defining_record, "G2"), True),
+    "F4": (partial(_exceptional_defining_record, "F4"), True),
+    "TriD4": (partial(_exceptional_defining_record, "TriD4"), True),
+    "Suzuki": (_suzuki_record, False),
+    "Ree2G2": (_ree_record, False),
+}
+
+_EXC_ALIASES = {"PSL3e": "PSL3", "2B2": "Suzuki", "2G2": "Ree2G2", "3D4": "TriD4"}
+
+
+def _small_family(family: str) -> tuple:
+    """The table entry of a small family or alias."""
+    fam = _EXC_ALIASES.get(family, family)
+    if fam not in _SMALL_FAMILIES:
+        raise ValueError(f"unknown family {family!r}")
+    return _SMALL_FAMILIES[fam]
+
+
 def exceptional_pair_record(family: str, q: int, p: int) -> ExceptionalPairRecord:
     """Full record (degrees plus invariance metadata) for a small family."""
-    fam = _EXC_ALIASES.get(family, family)
-    if fam not in _EXC_FAMILIES:
-        raise ValueError(f"unknown family {family!r}")
+    build, _ = _small_family(family)
     require_prime(p)
     if p <= 3:
         raise ValueError(f"expected a prime p > 3, got {p}")
-    if fam == "PSL2":
-        return _psl2_record(q, p)
-    if fam in ("PSL3", "PSU3"):
-        return _psl3_record(fam, q, p)
-    if fam == "PSp4":
-        return _psp4_record(q, p)
-    if fam == "Suzuki":
-        return _suzuki_record(q, p)
-    if fam == "Ree2G2":
-        return _ree_record(q, p)
-    return _exceptional_defining_record(fam, q, p)
+    return build(q, p)
 
 
 def exceptional_pair(family: str, q: int, p: int) -> tuple[int, int]:
@@ -651,56 +645,36 @@ def nondivisibility_check(d1: int, d2: int, p: int) -> bool:
 def in_contract_regime(family: str, q: int, p: int) -> bool:
     """Whether (family, q, p) falls under the nondivisibility contract.
 
-    The PSp4 and exceptional-type constants are only claimed in
-    defining characteristic; for them a non-defining p yields a valid
-    degree pair but no divisibility guarantee.  The other families'
-    case analysis covers every accepted p.
+    True unless the family is claimed only in defining characteristic
+    (PSp4 and the exceptional-type constants) and p is not the prime
+    of q.
     """
-    fam = _EXC_ALIASES.get(family, family)
-    if fam in ("PSp4", "G2", "F4", "TriD4"):
-        r, _ = require_prime_power(q)
-        return p == r
-    return True
+    _, defining_only = _small_family(family)
+    return not defining_only or p == require_prime_power(q)[0]
 
 
 def exceptional_grid(q_max: int = 128, p_max: int = 97) -> list[tuple[str, int, int]]:
     """Every regime-valid (family, q, p) combination within the caps.
 
-    For PSp4 and the carried exceptional-type constants the regime is
-    defining characteristic (p = char q > 3); the Suzuki/Ree rows need
-    p dividing q^2 - 1, over every field q^2 = 2^(2m+1) >= 8 resp.
-    3^(2m+1) >= 27 up to q_max; the rank <= 3 linear families accept any
-    prime p > 3 (the case split covers dividing and non-dividing p alike).
+    A filter over ``_SMALL_FAMILIES``, prime powers q <= q_max and
+    primes 5 <= p <= p_max: (family, q, p) is kept when the builder
+    returns a record and ``in_contract_regime`` holds.  The families
+    claimed only in defining characteristic are walked together, q by
+    q, every other family on its own, in table order: the order the
+    benchmark's lie-pair corpus was recorded in.
     """
     ps = _primes_in(5, p_max)
+    qs = prime_powers_upto(q_max)
     combos: list[tuple[str, int, int]] = []
-    for q in prime_powers_upto(q_max, minimum=4):
-        r, _ = prime_power_decomposition(q)
-        for p in ps:
-            if p != r and q % p == 0:
-                continue
-            if p == r and r <= 3:
-                continue
-            combos.append(("PSL2", q, p))
-    for fam, q_min in (("PSL3", 2), ("PSU3", 3)):
-        for q in prime_powers_upto(q_max, minimum=q_min):
-            r, _ = prime_power_decomposition(q)
-            for p in ps:
-                if p == r and r <= 3:
-                    continue
-                if p != r and q % p == 0:
-                    continue
-                combos.append((fam, q, p))
-    for q in prime_powers_upto(q_max, minimum=5):
-        r, _ = prime_power_decomposition(q)
-        if r > 3 and r <= p_max:
-            for fam in ("PSp4", "G2", "F4", "TriD4"):
-                combos.append((fam, q, r))
-    for fam, r in (("Suzuki", 2), ("Ree2G2", 3)):
-        q2 = r**3  # the fields r^(2m+1), m >= 1
-        while q2 <= q_max:
-            for p in ps:
-                if (q2 - 1) % p == 0:
-                    combos.append((fam, q2, p))
-            q2 *= r * r
+    for _, walk in groupby(_SMALL_FAMILIES.items(), key=lambda kv: kv[1][1] or kv[0]):
+        walk = list(walk)
+        for q in qs:
+            for fam, (build, _) in walk:
+                for p in ps:
+                    try:
+                        build(q, p)
+                    except ValueError:
+                        continue
+                    if in_contract_regime(fam, q, p):
+                        combos.append((fam, q, p))
     return combos

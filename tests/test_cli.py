@@ -68,6 +68,11 @@ class TestDegrees:
         code, _, err = run(capsys, "degrees", "--n", "4", "--p", "5", "--all", "--partition", "3,1")
         assert code == 1
 
+    def test_all_needs_n(self, capsys):
+        code, out, err = run(capsys, "degrees", "--all", "--p", "5")
+        assert code == 1 and out == ""
+        assert json.loads(err) == {"error": "--all needs --n"}
+
     def test_csv_format(self, capsys):
         code, out, _ = run(capsys, "degrees", "--partition", "3,1,1", "--p", "5", "--format", "csv")
         assert code == 0 and out == '"3,1,1",6,0,true\n'

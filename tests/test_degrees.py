@@ -145,6 +145,9 @@ class TestLucas:
                 for p in (5, 7):
                     assert binomial_coprime_lucas(n, k, p) == (comb(n, k) % p != 0)
 
+    def test_k_above_n(self):
+        assert binomial_coprime_lucas(3, 5, 5) is False
+
     def test_agrees_with_valuation_oracle_full_range(self):
         # digit comparison against the diagram-based valuation oracle
         for p in PRIMES:

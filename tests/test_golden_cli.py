@@ -117,6 +117,18 @@ CORPUS: list[list[str]] = [
     ["hooks", "--n", "50", "--p", "53"],
     ["count", "--n", "2197", "--p", "13"],
     ["count", "--n", "2198", "--p", "13"],
+    # lie-pair refusals (exit 1): an unknown family, a bad or small p,
+    # a group that is not simple, q not a prime power, fields outside a
+    # family's domain, non-defining G2-type constants (through an alias)
+    *(["lie-pair", "--family", family, "--q", q, "--p", p]
+      for family, q, p in (("X", "7", "5"), ("PSL2", "7", "3"), ("PSL2", "7", "9"),
+                           ("PSL2", "3", "5"), ("PSL2", "12", "5"), ("PSU3", "2", "5"),
+                           ("PSp4", "9", "5"), ("Suzuki", "16", "5"), ("2B2", "8", "5"),
+                           ("2G2", "27", "7"), ("3D4", "7", "5"))),
+    # PSL2 at p = 5 in defining characteristic with exponent 5
+    ["lie-pair", "--family", "PSL2", "--q", "243", "--p", "5"],
+    # an empty prime list (exit 1)
+    ["verify-an", "--n-max", "7", "--primes", ""],
 ]
 
 

@@ -1,12 +1,13 @@
 """p'-hook sets, quasihook families, and the A_n degree-set bound."""
 
 import gc
+import re
 import sys
 import tracemalloc
 
 import pytest
 
-from ppcd import cli
+from ppcd import cli, lie
 from ppcd import hooks as hooks_mod
 from ppcd.degrees import degree, is_pprime_macdonald, is_pprime_oracle
 from ppcd.hooks import (
@@ -381,14 +382,10 @@ class TestExtDegreeSet:
 
 
 class TestAnBound:
-    def test_direct_verification_n7(self):
-        result = verify_An_bound(7, 5)
-        assert result.ok and result.method == "direct-scan"
-        assert 1 in result.witnesses and len(set(result.witnesses)) >= 3
-
     @pytest.mark.parametrize(
         "n,p,method",
         [
+            (7, 5, "quasihook-row3"),  # 2 + 5: row-3 quasihooks (4,3), (3,3,1)
             (26, 5, "quasihook-row2"),  # 1 + 5^2
             (11, 5, "quasihook-row2"),  # 1 + 2*5
             (21, 5, "quasihook-row2"),  # 1 + 4*5
@@ -405,7 +402,7 @@ class TestAnBound:
         assert 1 in result.witnesses
 
     def test_witnesses_are_extendable_degrees(self):
-        for n, p in ((10, 5), (26, 5), (27, 5), (31, 5), (14, 13)):
+        for n, p in ((7, 5), (10, 5), (26, 5), (27, 5), (31, 5), (14, 13)):
             result = verify_An_bound(n, p)
             exact = ext_pprime_degree_set(n, p, bound=60)
             assert set(result.witnesses) <= exact
@@ -436,3 +433,24 @@ class TestAnBound:
             sets = scan_ext_degree_sets(n, PRIMES)
             for p in PRIMES:
                 assert len(sets[p]) >= halved_count_lower_bound(n, p)
+
+
+# the first precondition each entry point checks, with its exact message
+_PRECONDITIONS = [
+    (pprime_hook_xs, (0, 5), "expected n >= 1, got 0"),
+    (hooks_mod.count_pprime_partitions_formula, (-1, 5), "expected n >= 0, got -1"),
+    (quasihook_monotone, (10, 4, 0), "second row must be 2 or 3, got 4"),
+    (scan_ext_degree_sets, (0, (5,)), "expected n >= 1, got 0"),
+    (filter_ext_degree_sets, (0, (5,)), "expected n >= 1, got 0"),
+    (ext_pprime_degree_set, (0, 5), "expected n >= 1, got 0"),
+    (lie.not_both_divisible, ("A", 5, 4, 3), "expected a prime p > 3, got 3"),
+    (lie.exceptional_pair_record, ("Ree2G2", 9, 5),
+     "small Ree groups need q^2 = 3^(2m+1) with m >= 1, got 9"),
+]
+
+
+@pytest.mark.parametrize("call, args, message", _PRECONDITIONS,
+                         ids=[call.__name__ for call, _, _ in _PRECONDITIONS])
+def test_precondition_messages(call, args, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call(*args)

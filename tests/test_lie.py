@@ -49,6 +49,13 @@ class TestPrimePowers:
     def test_upto(self):
         assert prime_powers_upto(10) == [2, 3, 4, 5, 7, 8, 9]
 
+    def test_require(self):
+        assert lie.require_prime_power(9) == (3, 2)
+        for q in (0, 1, 12, True, 4.0, "8"):
+            assert prime_power_decomposition(q) is None
+            with pytest.raises(ValueError, match=f"^expected a prime power >= 2, got {q!r}$"):
+                lie.require_prime_power(q)
+
 
 class TestQPrimePart:
     def test_examples(self):
@@ -124,8 +131,6 @@ class TestDegreeFormula:
     def test_validation(self):
         with pytest.raises(ValueError):
             DegreeFormula(scalar=Fraction(0))
-        with pytest.raises(ValueError):
-            DegreeFormula(qpower=-1)
         with pytest.raises(ValueError):
             DegreeFormula(factors=((1, 2),))
 
@@ -404,6 +409,9 @@ class TestExceptionalPairs:
         assert in_contract_regime("PSp4", 5, 5)
         assert not in_contract_regime("PSp4", 5, 13)
         assert not in_contract_regime("G2", 5, 7)
+        assert not in_contract_regime("3D4", 5, 7)
+        with pytest.raises(ValueError, match="unknown family 'M11'"):
+            in_contract_regime("M11", 11, 5)
 
 
 class TestNondivisibility:
@@ -434,7 +442,48 @@ _ORDER = {
 }
 
 
+def _exceptional_grid_oracle(q_max, p_max):
+    """The grid as written family by family, before it was derived from
+    the family table; its order is the one the benchmark recorded."""
+    ps = lie._primes_in(5, p_max)
+    combos = []
+    for q in prime_powers_upto(q_max, minimum=4):
+        r, _ = prime_power_decomposition(q)
+        for p in ps:
+            if p != r and q % p == 0:
+                continue
+            if p == r and r <= 3:
+                continue
+            combos.append(("PSL2", q, p))
+    for fam, q_min in (("PSL3", 2), ("PSU3", 3)):
+        for q in prime_powers_upto(q_max, minimum=q_min):
+            r, _ = prime_power_decomposition(q)
+            for p in ps:
+                if p == r and r <= 3:
+                    continue
+                if p != r and q % p == 0:
+                    continue
+                combos.append((fam, q, p))
+    for q in prime_powers_upto(q_max, minimum=5):
+        r, _ = prime_power_decomposition(q)
+        if r > 3 and r <= p_max:
+            for fam in ("PSp4", "G2", "F4", "TriD4"):
+                combos.append((fam, q, r))
+    for fam, r in (("Suzuki", 2), ("Ree2G2", 3)):
+        q2 = r**3  # the fields r^(2m+1), m >= 1
+        while q2 <= q_max:
+            for p in ps:
+                if (q2 - 1) % p == 0:
+                    combos.append((fam, q2, p))
+            q2 *= r * r
+    return combos
+
+
 class TestExceptionalGrid:
+    @pytest.mark.parametrize("q_max, p_max", [(128, 97), (512, 199), (2200, 97), (32, 31)])
+    def test_matches_oracle(self, q_max, p_max):
+        assert exceptional_grid(q_max, p_max) == _exceptional_grid_oracle(q_max, p_max)
+
     def test_contains_expected_rows(self):
         combos = set(exceptional_grid(128, 97))
         assert ("Suzuki", 8, 7) in combos
@@ -479,3 +528,43 @@ class TestExceptionalGrid:
             d1, d2 = exceptional_pair(family, q, p)
             assert nondivisibility_check(d1, d2, p), (family, q, p, d1, d2)
             assert in_contract_regime(family, q, p)
+
+    def test_every_record_kind_up_to_243(self):
+        # q = 243 = 3^5 at p = 5 is the first PSL2 row whose second
+        # character is the half discrete series outside defining
+        # characteristic; the q <= 128 grid reaches the other 21 kinds
+        kinds = set()
+        for family, q, p in exceptional_grid(243, 97):
+            rec = exceptional_pair_record(family, q, p)
+            kinds.add((family, rec.case, rec.chi1.origin, rec.chi2.origin))
+            assert nondivisibility_check(*rec.degrees, p), (family, q, p)
+            order = _ORDER[family](q)
+            for d in rec.degrees:
+                assert order % d == 0 and d * d < order, (family, q, p, d)
+        assert kinds == {
+            ("PSL2", "defining", "semisimple:split-torus", "semisimple:nonsplit-torus"),
+            ("PSL2", "defining-p5-mixed-exponent", "semisimple:order-6-eigenvalues",
+             "semisimple:subfield-torus"),
+            ("PSL2", "defining-p5-tower", "semisimple:order-6-eigenvalues",
+             "half-discrete-series"),
+            ("PSL2", "nondefining-generic", "semisimple:split-torus",
+             "semisimple:nonsplit-torus"),
+            ("PSL2", "nondefining-p-divides-q-minus-1", "steinberg", "semisimple:split-torus"),
+            ("PSL2", "nondefining-p-divides-q-plus-1", "steinberg", "semisimple:nonsplit-torus"),
+            ("PSL2", "nondefining-small-field", "steinberg", "half-discrete-series"),
+            ("PSL2", "nondefining-small-field", "steinberg", "semisimple:order-3-eigenvalues"),
+            ("PSL2", "nondefining-small-field", "steinberg", "semisimple:subfield-torus"),
+            ("PSL2", "nondefining-small-q", "steinberg", "semisimple:nonsplit-torus"),
+            ("PSL3", "defining", "semisimple:split-torus", "semisimple:nonsplit-torus"),
+            ("PSL3", "nondefining-semisimple", "steinberg", "semisimple:nonsplit-torus"),
+            ("PSL3", "nondefining-unipotent", "steinberg", "unipotent-subregular"),
+            ("PSU3", "defining", "semisimple:split-torus", "semisimple:nonsplit-torus"),
+            ("PSU3", "nondefining-semisimple", "steinberg", "semisimple:nonsplit-torus"),
+            ("PSU3", "nondefining-unipotent", "steinberg", "unipotent-subregular"),
+            ("PSp4", "defining", "principal-series", "discrete-series"),
+            ("G2", "defining", "unique-degree", "unique-degree"),
+            ("F4", "defining", "unique-degree", "unique-degree"),
+            ("TriD4", "defining", "unique-degree", "unique-degree"),
+            ("Suzuki", "p-divides-q2-minus-1", "steinberg", "torus-series"),
+            ("Ree2G2", "p-divides-q2-minus-1", "steinberg", "cuspidal-unique-degree"),
+        }
