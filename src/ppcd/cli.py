@@ -158,8 +158,9 @@ def cmd_verify_an(args, out) -> int:
         exact_sets = hooks_mod.scan_ext_degree_sets(n, primes) if n <= args.exact_bound else None
         for p in primes:
             formula = hooks_mod.count_pprime_hooks_formula(n, p)
-            enum = len(hooks_mod.pprime_hook_xs(n, p))
-            result = hooks_mod.verify_An_bound(n, p)
+            xs = hooks_mod.pprime_hook_xs(n, p)
+            enum = len(xs)
+            result = hooks_mod.verify_An_bound(n, p, _xs=xs)
             if exact_sets is not None:
                 ext_found = len(exact_sets[p])
                 bound_ok = (
@@ -168,7 +169,8 @@ def cmd_verify_an(args, out) -> int:
                     and ext_found >= hooks_mod.halved_count_lower_bound(n, p)
                 )
             else:
-                ext_found = len(hooks_mod.ext_pprime_degree_set(n, p, bound=args.exact_bound))
+                ext_found = len(hooks_mod.ext_pprime_degree_set(n, p, bound=args.exact_bound,
+                                                                _xs=xs))
                 bound_ok = result.ok
             if formula != enum or not bound_ok:
                 violations.append({"n": n, "p": p, "formula": formula,

@@ -23,12 +23,13 @@ leg), so the p'-test is a sum of Legendre values v_p(m!), and the
 quasihook is self-conjugate only when c = 2 and n = 2t + 4.
 
 The exact extendable p'-degree sets of A_n are generated from the
-p-core tower: only the p'-partitions of n are built, as many as the
-McKay number prod_j k(p^j, a_j), instead of scanning all p(n).  Of each
-conjugate pair only one member is built, picked by its p^k-core (the
-core of lam' is the conjugate of the core of lam), and its degree is n!
-over the hook product taken row by row, with the rows below the second
-looked up in a memo that lives for one scan.  The full scan survives as
+p-core tower: only the p'-partitions of n are visited, as many as the
+McKay number prod_j k(p^j, a_j), instead of scanning all p(n), and none
+of them is built.  Each is a p^k-core mu and a quotient, at most a bead
+moves away on mu's abacus, and of each conjugate pair one member is visited,
+picked by its core and its quotient index (``_pprime_pair_cores``).
+Its degree is n!/H(mu) times one Frobenius ratio per moved bead and one
+per pair of moved beads (``_core_degrees``).  The full scan survives as
 ``filter_ext_degree_sets``, the oracle the generated sets are tested
 against.
 """
@@ -37,16 +38,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import accumulate
-from math import factorial, prod
+from math import factorial, gcd, prod
+from typing import Iterator
 
 from .degrees import degree, factorial_valuation, hook_degree, is_pprime_macdonald
 from .partitions import (
     Partition,
     _conjugate_parts,
     _hook_lengths,
-    _hook_product,
     _partition_tuples,
-    _pprime_pairs,
+    _pprime_pair_cores,
     _pprime_tuples,
     hook_partition,
     is_self_conjugate,
@@ -249,14 +250,18 @@ def scan_ext_degree_sets(n: int, primes: tuple[int, ...]) -> dict[int, set[int]]
     For every prime p given, collects the degrees of the partitions of
     n with p'-degree and lam != lam' (exactly the p'-degree characters
     of A_n that extend to S_n).  A conjugate pair shares its degree, so
-    ``_pprime_pairs`` builds one member of each pair and no
-    self-conjugate partition: the p^k-core of lam' is the conjugate of
-    the p^k-core of lam, so the core alone picks the member, and only
-    partitions on a self-conjugate core are compared with their
-    conjugate.  Each degree is n! over ``_hook_product``, the hook
-    product taken row by row; the products of the rows below the second
-    repeat across the scan and are kept in a memo that lives for this
-    call only.
+    ``_pprime_pair_cores`` names one member of each pair, by its
+    p^k-core mu and its quotient, and no self-conjugate partition: on a
+    bead count L divisible by e = p^k, lam' has core mu' and quotient
+    ((nu^(e-1-i))')_i (James and Kerber 2.7), so a core with mu' < mu
+    keeps every quotient, one with mu' > mu none, and a self-conjugate
+    core quotient k iff k < conj[k].  Below p the core is empty, e = 1,
+    and the whole partition is the quotient on one runner.  No partition
+    is built: by Frobenius, deg lam = n! Delta(X) / prod_{x in X} x! on
+    any beta set X, so ``_core_degrees`` takes each degree from n!/H(mu)
+    by one ratio per moved bead x -> x + e v and one per pair of moved
+    beads, over mu's abacus padded to L beads, and ends with one exact
+    division.
     """
     primes = tuple(primes)
     for p in primes:
@@ -264,17 +269,81 @@ def scan_ext_degree_sets(n: int, primes: tuple[int, ...]) -> dict[int, set[int]]
     if n < 1:
         raise ValueError(f"expected n >= 1, got {n!r}")
     fact = factorial(n)
-    memo: dict[tuple[int, ...], int] = {}
     out: dict[int, set[int]] = {}
     for p in primes:
         degs = out[p] = set()
-        for parts in _pprime_pairs(n, p):
-            deg, rem = divmod(fact, _hook_product(parts, memo))
-            if rem:
-                raise ArithmeticError(
-                    f"hook product does not divide {n}! for {Partition._from_valid(parts, n)}")
-            degs.add(deg)
+        for mu, e, a, quotients in _pprime_pair_cores(n, p):
+            degs.update(_core_degrees(fact, mu, e, a, quotients))
     return out
+
+
+def _core_degrees(fact: int, mu: tuple[int, ...], e: int, a: int, quotients) -> Iterator[int]:
+    """n!/H(lam) for each lam with e-core mu and its quotient in
+    ``quotients`` (bead moves of ``_multipartitions(e, a)``), n! = fact.
+
+    By Frobenius, deg lam = n! Delta(X) / prod_{x in X} x! on any beta
+    set X of lam, Delta(X) the product of the differences of X; on mu's
+    beta set X0 it is n!/H(mu).  Each move x -> y multiplies it by its
+    ratio from ``_bead_moves``, and each pair of moved beads by
+    (x_i - x_j)(y_i - y_j) / ((y_j - x_i)(y_i - x_j)), zero factors left
+    out (a bead may land where another one left).  Each degree is the
+    absolute value of one exact division.
+    """
+    table = _bead_moves(mu, e, a)
+    base = fact // prod(_hook_lengths(mu))
+    for moves in quotients:
+        num, den = base, 1
+        done = []
+        for move in moves:
+            x, y, move_num, move_den = table[move]
+            num *= move_num
+            den *= move_den
+            for x2, y2 in done:
+                num *= (x - x2) * (y - y2)
+                den *= ((y2 - x) or 1) * ((y - x2) or 1)
+            done.append((x, y))
+        deg, rem = divmod(num, den)
+        if rem:
+            raise ArithmeticError(f"bead moves {moves} on the {e}-core {mu} give no "
+                                  f"integral degree for n = {sum(mu) + e * a}")
+        yield abs(deg)
+
+
+def _bead_moves(mu: tuple[int, ...], e: int, a: int) -> dict:
+    """(i, j, v) -> (x, y, num, den) for every move of ``_multipartitions(e, a)``
+    on mu's beta set X0: the j-th lowest bead x of runner i goes to
+    y = x + e v, and num/den is Q(y) x! / (Q(x) y! e v) in lowest terms,
+    Q(z) = prod_{c in X0, c != z} |z - c|.
+
+    X0 has L beads, L the least multiple of e that is at least
+    len(mu) + e a, so that every runner holds at least a beads and the
+    runner labels are those of the conjugate index.  Its m = L - len(mu)
+    padding beads {0 .. m-1} contribute z!/(z-m)! to Q(z) for z >= m and
+    z! (m-1-z)! for z < m, so Q(z)/z! takes a product over mu's beads only.
+    """
+    ell = len(mu)
+    beads = e * (a + -(-ell // e))
+    m = beads - ell
+    core = [v + beads - 1 - i for i, v in enumerate(mu)]
+
+    def q_over_factorial(z: int) -> tuple[int, int]:
+        c = prod(abs(z - b) for b in core if b != z)
+        return (c, factorial(z - m)) if z >= m else (c * factorial(m - 1 - z), 1)
+
+    table = {}
+    for i in range(e):
+        # mu's beads lie above the padding, so they are the lowest
+        runner = [b for b in core if b % e == i] + list(range(i + (m - 1 - i) // e * e, -1, -e))
+        for j in range(a):
+            x = runner[j]
+            x_num, x_den = q_over_factorial(x)
+            for v in range(1, a // (j + 1) + 1):
+                y = x + e * v
+                y_num, y_den = q_over_factorial(y)
+                num, den = y_num * x_den, x_num * y_den * e * v
+                g = gcd(num, den)
+                table[i, j, v] = x, y, num // g, den // g
+    return table
 
 
 def filter_ext_degree_sets(n: int, primes: tuple[int, ...]) -> dict[int, set[int]]:
@@ -320,25 +389,27 @@ def filter_ext_degree_sets(n: int, primes: tuple[int, ...]) -> dict[int, set[int
     return out
 
 
-def ext_pprime_degree_set(n: int, p: int, *, bound: int = DEFAULT_SCAN_BOUND) -> set[int]:
+def ext_pprime_degree_set(n: int, p: int, *, bound: int = DEFAULT_SCAN_BOUND,
+                          _xs: list[int] | None = None) -> set[int]:
     """Degrees of p'-degree A_n characters that extend to S_n.
 
     Exact for n <= ``bound``, generated from the p-core tower
     (``scan_ext_degree_sets``); above it, a certified subset built from
     p'-hooks and the quasihook families, every member re-checked
-    p'-degree before inclusion.
+    p'-degree before inclusion.  ``_xs`` is ``pprime_hook_xs(n, p)``,
+    for a caller that already has it.
     """
     require_prime(p)
     if n < 1:
         raise ValueError(f"expected n >= 1, got {n!r}")
     if n <= bound:
         return scan_ext_degree_sets(n, (p,))[p]
-    return _constructive_ext_degrees(n, p)
+    return _constructive_ext_degrees(n, p, _xs)
 
 
-def _constructive_ext_degrees(n: int, p: int) -> set[int]:
+def _constructive_ext_degrees(n: int, p: int, _xs: list[int] | None = None) -> set[int]:
     degs = set()
-    for x in pprime_hook_xs(n, p):
+    for x in pprime_hook_xs(n, p) if _xs is None else _xs:
         if 2 * x != n - 1:  # skip the self-conjugate hook
             degs.add(hook_degree(n, x))
     for c in (2, 3):
@@ -443,7 +514,7 @@ def _an_bound_case(n: int, p: int) -> str:
                          f"but none of the base-{p} shapes it forces")
 
 
-def verify_An_bound(n: int, p: int) -> AnBoundResult:
+def verify_An_bound(n: int, p: int, _xs: list[int] | None = None) -> AnBoundResult:
     """Certify >= 3 distinct extendable p'-degrees of A_n (n >= 7, p > 3).
 
     Generic case: floor(count/2) >= 3 and the short-leg p'-hooks give
@@ -451,7 +522,8 @@ def verify_An_bound(n: int, p: int) -> AnBoundResult:
     (1 + a p^k, 2 + p^k, 1 + p^k + p^h; ``_an_bound_case`` shows there
     are no others) use the quasihook and row-extension families; every
     constructed witness is re-checked p'-degree and non-self-conjugate
-    rather than trusted.
+    rather than trusted.  ``_xs`` is ``pprime_hook_xs(n, p)``, for a
+    caller that already has it.
     """
     require_int(n, 7, "expected an integer n >= 7, got {!r}")
     require_prime(p)
@@ -461,7 +533,7 @@ def verify_An_bound(n: int, p: int) -> AnBoundResult:
     case = _an_bound_case(n, p)
     if case == "hooks":
         wits: set[int] = set()
-        for x in pprime_hook_xs(n, p):
+        for x in pprime_hook_xs(n, p) if _xs is None else _xs:
             if 2 * x < n - 1:
                 wits.add(hook_degree(n, x))
                 if len(wits) == 3:

@@ -13,15 +13,14 @@ naive rim-hook remover ``e_core_by_removal`` is the oracle of
 James-Kerber weight identity that ``degrees.is_pprime_macdonald``
 relies on.  The same abacus, run in reverse, generates the p'-degree
 partitions of n directly from the p-core tower (``_pprime_tuples``)
-without visiting the others.  Since the p^k-core of lam' is the
-conjugate of the p^k-core of lam, the core alone picks one member of
-each conjugate pair (``_pprime_pairs``): only the partitions built on a
-self-conjugate core are ever conjugated.
-
-Hook products are also taken row by row (``_hook_product``): the first
-row of (lam_1, ..., lam_{l+1}) contributes
-(lam_1 + l)! / prod_{j=1..l} (lam_1 + j - lam_{j+1}), and the product
-of the rows below the second comes from a caller-owned memo.
+without visiting the others: each is a p^k-core and a quotient, and
+``_multipartitions`` holds every quotient as its flat bead moves.  On a
+bead count divisible by e, lam' has core mu' and the reflected,
+conjugated quotient ((nu^(e-1-i))')_i (James and Kerber 2.7), so
+``_pprime_pair_cores`` names one member of each conjugate pair by its
+core and its quotient index, with no partition of n built or
+conjugated; below p the core is empty and the whole partition is the
+quotient on one runner.
 
 Partitions are immutable values and every function is pure, so the
 module is safe for concurrent use.  Enumeration order is fixed
@@ -32,7 +31,7 @@ byte for byte.
 from __future__ import annotations
 
 from functools import lru_cache, total_ordering
-from math import factorial, prod
+from itertools import chain
 from operator import sub
 from typing import Iterable, Iterator
 
@@ -308,25 +307,48 @@ def _partition_tuples(n: int) -> Iterator[tuple[int, ...]]:
 
 
 @lru_cache(maxsize=None)
-def _multipartitions(e: int, a: int) -> tuple[tuple[tuple[int, tuple[int, ...]], ...], ...]:
-    """Every e-multipartition of a, each as its nonempty components.
+def _multipartitions(e: int, a: int) -> tuple[tuple[tuple[tuple[int, int, int], ...], ...],
+                                               tuple[int, ...]]:
+    """Every e-multipartition of a as its bead moves, and the conjugate index.
 
-    A multipartition is a tuple of (runner, parts) pairs with strictly
-    increasing runners in range(e); the empty tuple is the only one of 0.
+    A multipartition (nu^(0), ..., nu^(e-1)) is the tuple of its moves
+    (i, j, nu^(i)_j), runner i increasing and then j: slide the j-th
+    lowest bead of runner i down nu^(i)_j levels.  The empty tuple is the
+    only one of 0.  ``conj[k]`` is the index of ((nu^(e-1-i))')_i: on
+    abacuses with bead counts divisible by e, the conjugate of the
+    partition with e-core mu and quotient number k has e-core mu' and
+    quotient number conj[k] (James and Kerber 2.7).
     """
-    partitions_of = [tuple(_partition_tuples(size)) for size in range(a + 1)]
+    partitions_of: dict[int, tuple[tuple[int, ...], ...]] = {}
 
     def extend(first: int, left: int):
         if not left:
             yield ()
             return
         for runner in range(first, e):
-            for size in range(1, left + 1):
+            # the last runner takes all that is left
+            for size in range(1 if runner < e - 1 else left, left + 1):
+                if size not in partitions_of:
+                    partitions_of[size] = tuple(_partition_tuples(size))
                 for parts in partitions_of[size]:
                     for rest in extend(runner + 1, left - size):
                         yield ((runner, parts),) + rest
 
-    return tuple(extend(0, a))
+    shapes = tuple(extend(0, a))
+    index = {shape: k for k, shape in enumerate(shapes)}
+    conjugates = {parts: _conjugate_parts(parts)
+                  for of_size in partitions_of.values() for parts in of_size}
+    conj = tuple(index[tuple((e - 1 - runner, conjugates[parts])
+                             for runner, parts in reversed(shape))]
+                 for shape in shapes)
+    # one object per move (i, j, v) and per component, shared by the
+    # quotients that hold them
+    move = [[[(i, j, v) for v in range(a // (j + 1) + 1)] for j in range(a)] for i in range(e)]
+    components = {(i, parts): tuple(map(list.__getitem__, move[i], parts))
+                  for shape in shapes for i, parts in shape}
+    quotients = tuple(tuple(chain.from_iterable(map(components.__getitem__, shape)))
+                      for shape in shapes)
+    return quotients, conj
 
 
 def _pprime_tuples(n: int, p: int) -> Iterator[tuple[int, ...]]:
@@ -338,8 +360,8 @@ def _pprime_tuples(n: int, p: int) -> Iterator[tuple[int, ...]]:
     (Macdonald).  Every partition of r < p^k is a p^k-core, so the
     core/quotient bijection on the beta-set abacus rebuilds each such
     lam exactly once from a p'-partition mu of r and a p^k-multipartition
-    of a: slide the j-th lowest bead of runner i down nu^(i)_j levels.
-    A partition of n < p always has p'-degree, since p does not divide n!.
+    of a.  A partition of n < p always has p'-degree, since p does not
+    divide n!.
     """
     if n < p:
         yield from _partition_tuples(n)
@@ -349,33 +371,37 @@ def _pprime_tuples(n: int, p: int) -> Iterator[tuple[int, ...]]:
         yield from _abacus_slides(mu, e, a)
 
 
-def _pprime_pairs(n: int, p: int) -> Iterator[tuple[int, ...]]:
-    """One member of each pair {lam, lam'} of p'-partitions of n with
-    lam != lam', as raw tuples; no self-conjugate partition.
+def _pprime_pair_cores(n: int, p: int) -> Iterator[tuple[tuple[int, ...], int, int, Iterable]]:
+    """(mu, e, a, quotients): one member of each pair {lam, lam'} of
+    p'-partitions of n with lam != lam', and no self-conjugate partition.
 
-    The p^k-core of lam' is the conjugate of the p^k-core of lam (James
-    and Kerber 2.7), so the core mu of ``_pprime_tuples`` picks the
-    member: with mu' < mu every partition built on mu is kept and its
-    conjugate, built on mu', is never built; with mu' > mu nothing is
-    built; with mu' = mu (mu empty included) lam is kept when lam' < lam.
-    Below p every partition of n is a p'-partition, kept when lam' < lam.
+    Each lam is given by its p^k-core mu and its quotient, as the bead
+    moves of ``_multipartitions(e, a)`` on mu's abacus with a bead count
+    divisible by e.  The p^k-core of lam' is mu' (James and Kerber 2.7),
+    so with mu' < mu every quotient is kept and the conjugates, on mu',
+    are never visited; with mu' > mu nothing is.  With mu' = mu (mu empty
+    included) quotient k is kept iff k < conj[k]; the fixed points of conj
+    are the self-conjugate lam.  Below p every partition lam of n is the
+    quotient of the empty 1-core, the moves (0, j, lam_j), and the rule
+    reads lam' < lam: the quotients stream from ``_partition_tuples``,
+    not from the cache, since there are p(n) of them.
     """
     if n < p:
-        yield from filter(_above_conjugate, _partition_tuples(n))
+        move = [[(0, j, v) for v in range(n // (j + 1) + 1)] for j in range(n)]
+        # a first column longer than the first row settles lam' > lam
+        yield (), 1, n, (tuple(map(list.__getitem__, move, parts))
+                         for parts in _partition_tuples(n)
+                         if len(parts) <= parts[0] and _conjugate_parts(parts) < parts)
         return
     e, a, r = _top_term(n, p)
+    quotients, conj = _multipartitions(e, a)
+    halves = [moves for k, moves in enumerate(quotients) if k < conj[k]]
     for mu in _pprime_tuples(r, p):
-        conj = _conjugate_parts(mu)
-        if conj < mu:
-            yield from _abacus_slides(mu, e, a)
-        elif conj == mu:
-            yield from filter(_above_conjugate, _abacus_slides(mu, e, a))
-
-
-def _above_conjugate(parts: tuple[int, ...]) -> bool:
-    """Whether lam' < lam; a first column longer than the first row
-    settles it without conjugating."""
-    return bool(parts) and len(parts) <= parts[0] and _conjugate_parts(parts) < parts
+        mu_conj = _conjugate_parts(mu)
+        if mu_conj < mu:
+            yield mu, e, a, quotients
+        elif mu_conj == mu:
+            yield mu, e, a, halves
 
 
 def _top_term(n: int, p: int) -> tuple[int, int, int]:
@@ -391,8 +417,7 @@ def _abacus_slides(mu: tuple[int, ...], e: int, a: int) -> Iterator[tuple[int, .
     """Every partition with e-core mu and e-weight a, as raw tuples.
 
     The core/quotient bijection on the beta-set abacus: one partition per
-    e-multipartition of a, made by sliding the j-th lowest bead of
-    runner i down nu^(i)_j levels.
+    e-multipartition of a, made by applying its bead moves.
     """
     # len(mu) + e * a beads, so that every runner holds at least a
     beads = len(mu) + e * a
@@ -402,52 +427,13 @@ def _abacus_slides(mu: tuple[int, ...], e: int, a: int) -> Iterator[tuple[int, .
     runners: list[list[int]] = [[] for _ in range(e)]
     for i, b in enumerate(beta):  # indices of each runner's beads, lowest first
         runners[b % e].append(i)
-    for quotient in _multipartitions(e, a):
+    for moves in _multipartitions(e, a)[0]:
         moved = beta[:]
-        for runner, nu in quotient:
-            idx = runners[runner]
-            for j, v in enumerate(nu):
-                moved[idx[j]] += e * v
+        for runner, j, v in moves:
+            moved[runners[runner][j]] += e * v
         moved.sort(reverse=True)
         lam = list(map(sub, moved, offsets))
         yield tuple(lam[: lam.index(0)] if lam[-1] == 0 else lam)
-
-
-def _hook_product(parts: tuple[int, ...], memo: dict) -> int:
-    """Product of all hook lengths of lam, row by row.
-
-    Row 0 of (lam_1, ..., lam_{l+1}) holds the hooks {1 .. lam_1 + l}
-    minus the first-column beta-set gaps lam_1 + j - lam_{j+1}, so its
-    product is (lam_1 + l)! / prod_{j=1..l} (lam_1 + j - lam_{j+1}).  The
-    top two rows are computed here and the product of the rest is looked
-    up in ``memo``, keyed by parts[2:].  A missing entry is filled the
-    same way, two rows at a time down to the first suffix found, with no
-    recursion, so a long column costs no stack depth.
-    """
-    tops = []
-    while (below := memo.get(parts[2:])) is None and len(parts) > 2:
-        tops.append(parts)
-        parts = parts[2:]
-    # below is None only for parts[2:] == (), whose product is 1
-    product = (below or 1) * _top_rows_hook_product(parts)
-    while tops:
-        memo[parts] = product
-        parts = tops.pop()
-        product *= _top_rows_hook_product(parts)
-    return product
-
-
-def _top_rows_hook_product(parts: tuple[int, ...]) -> int:
-    """Product of the hook lengths in the top two rows of parts: the row
-    formula of ``_hook_product`` on parts and on parts[1:], over one
-    division."""
-    ell = len(parts)
-    if ell < 2:
-        return factorial(parts[0]) if parts else 1
-    a, b = parts[0], parts[1]
-    return (factorial(a + ell - 1) * factorial(b + ell - 2)
-            // (prod(map(sub, range(a + 1, a + ell), parts[1:]))
-                * prod(map(sub, range(b + 1, b + ell - 1), parts[2:]))))
 
 
 def enumerate_partitions(n: int, *, bound: int = DEFAULT_ENUMERATION_BOUND) -> Iterator[Partition]:

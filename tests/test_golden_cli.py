@@ -129,6 +129,10 @@ CORPUS: list[list[str]] = [
     ["lie-pair", "--family", "PSL2", "--q", "243", "--p", "5"],
     # an empty prime list (exit 1)
     ["verify-an", "--n-max", "7", "--primes", ""],
+    # exact sets past the default bound: the n <= 52 grid at p = 5, and at
+    # p = 7 the top power e = 49 with the self-conjugate core (1) at n = 50
+    ["verify-an", "--n-max", "52", "--primes", "5", "--exact-bound", "52"],
+    ["verify-an", "--n-max", "50", "--primes", "7", "--exact-bound", "50"],
 ]
 
 

@@ -4,6 +4,8 @@ import gc
 import re
 import sys
 import tracemalloc
+from collections import Counter
+from math import factorial, prod
 
 import pytest
 
@@ -13,6 +15,7 @@ from ppcd.degrees import degree, is_pprime_macdonald, is_pprime_oracle
 from ppcd.hooks import (
     DEFAULT_SCAN_BOUND,
     _an_bound_case,
+    _core_degrees,
     _layered_first_parts,
     _quasihook_witnesses,
     count_pprime_hooks_formula,
@@ -30,7 +33,11 @@ from ppcd.hooks import (
 )
 from ppcd.partitions import (
     Partition,
+    _abacus_slides,
+    _hook_lengths,
+    _multipartitions,
     _pprime_tuples,
+    _top_term,
     conjugate,
     enumerate_partitions,
     hook_partition,
@@ -359,13 +366,22 @@ class TestExtDegreeSet:
 
     @pytest.mark.parametrize("n", range(5, 41))
     def test_generated_sets_match_full_scan(self, n):
-        assert scan_ext_degree_sets(n, PRIMES) == filter_ext_degree_sets(n, PRIMES)
+        primes = PRIMES + ((2, 3) if n <= 30 else ())
+        assert scan_ext_degree_sets(n, primes) == filter_ext_degree_sets(n, primes)
 
-    def test_inexact_hook_product_raises(self, monkeypatch):
-        # 11 does not divide 10!, so no degree can come out of this product
-        real = hooks_mod._hook_product
-        monkeypatch.setattr(hooks_mod, "_hook_product", lambda parts, memo: 11 * real(parts, memo))
-        with pytest.raises(ArithmeticError, match=r"^hook product does not divide 10! for "):
+    def test_inexact_bead_move_ratio_raises(self, monkeypatch):
+        # every degree of S_10 divides 10!, so none is divisible by the
+        # prime 11, and no degree can come out of a ratio with 11 below
+        real = hooks_mod._bead_moves
+
+        def mutated(mu, e, a):
+            return {move: (x, y, num, 11 * den)
+                    for move, (x, y, num, den) in real(mu, e, a).items()}
+
+        monkeypatch.setattr(hooks_mod, "_bead_moves", mutated)
+        with pytest.raises(ArithmeticError,
+                           match=r"^bead moves .* on the 5-core .* give no integral degree "
+                                 r"for n = 10$"):
             scan_ext_degree_sets(10, (5,))
 
     def test_batched_scan_matches_single(self):
@@ -379,6 +395,24 @@ class TestExtDegreeSet:
 
     def test_default_bound_is_constructive_above_40(self):
         assert ext_pprime_degree_set(41, 5) == ext_pprime_degree_set(41, 5, bound=0)
+
+
+class TestCoreDegrees:
+    """``_core_degrees`` against n! over the hook product of every
+    partition ``_abacus_slides`` builds on the same core: the same
+    multiset of degrees, for every p'-core of every n; below p the core
+    is empty and the partition is the quotient on one runner."""
+
+    @pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 13])
+    def test_matches_hook_product(self, p):
+        for n in range(1, 46):
+            fact = factorial(n)
+            e, a, r = _top_term(n, p) if n >= p else (1, n, 0)
+            quotients = _multipartitions(e, a)[0]
+            for mu in _pprime_tuples(r, p):
+                expected = sorted(fact // prod(_hook_lengths(lam))
+                                  for lam in _abacus_slides(mu, e, a))
+                assert sorted(_core_degrees(fact, mu, e, a, quotients)) == expected, (n, p, mu)
 
 
 class TestAnBound:
@@ -427,6 +461,32 @@ class TestAnBound:
             verify_An_bound(10, 3)
         with pytest.raises(ValueError):
             verify_An_bound(10, 6)
+
+    @pytest.mark.parametrize("argv, pairs", [
+        (["verify-an", "--n-max", "100", "--exact-bound", "0"], 94 * 4),
+        (["verify-an", "--n-max", "30", "--primes", "5,7"], 24 * 2),
+    ])
+    def test_verify_an_filters_hooks_once_per_pair(self, monkeypatch, argv, pairs):
+        # the list is handed to verify_An_bound and the constructive set,
+        # not filtered again by each
+        calls = Counter()
+        real = hooks_mod.pprime_hook_xs
+
+        def counted(n, p, _sums=None):
+            calls[n, p] += 1
+            return real(n, p, _sums)
+
+        monkeypatch.setattr(hooks_mod, "pprime_hook_xs", counted)
+        monkeypatch.setattr(sys, "stdout", _NullOut())
+        assert cli.main(argv) == 0
+        assert len(calls) == pairs and set(calls.values()) == {1}
+
+    def test_given_hook_list_is_used(self):
+        assert verify_An_bound(26, 5, _xs=[]) == verify_An_bound(26, 5)  # not the hooks case
+        assert not verify_An_bound(10, 5, _xs=[]).ok
+        xs = pprime_hook_xs(41, 5)
+        assert ext_pprime_degree_set(41, 5, _xs=xs) == ext_pprime_degree_set(41, 5)
+        assert ext_pprime_degree_set(41, 5, _xs=xs[:1]) < ext_pprime_degree_set(41, 5)
 
     def test_exact_sets_beat_halved_bound(self):
         for n in range(5, 26):

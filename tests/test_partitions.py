@@ -1,9 +1,6 @@
 """Partition, hook and core arithmetic: frozen examples and invariants."""
 
-import inspect
 import re
-import sys
-from math import factorial, prod
 
 import pytest
 from hypothesis import given, settings
@@ -15,9 +12,9 @@ from ppcd.partitions import (
     Partition,
     _conjugate_parts,
     _hook_lengths,
-    _hook_product,
+    _multipartitions,
     _partition_tuples,
-    _pprime_pairs,
+    _pprime_pair_cores,
     _pprime_tuples,
     conjugate,
     divisible_hooks,
@@ -280,13 +277,67 @@ def _self_conjugate_tuples(n: int) -> list[tuple[int, ...]]:
     return out
 
 
+def _slide(mu: tuple[int, ...], e: int, a: int, moves) -> tuple[int, ...]:
+    """lam from its e-core mu and its quotient's bead moves, on the least
+    multiple of e beads that is at least len(mu) + e * a."""
+    beads = e * (a + -(-len(mu) // e))
+    beta = [v + beads - 1 - i for i, v in enumerate(mu)]
+    beta += range(beads - len(mu) - 1, -1, -1)
+    runners = [[k for k, b in enumerate(beta) if b % e == i] for i in range(e)]
+    for runner, j, v in moves:
+        beta[runners[runner][j]] += e * v
+    beta.sort(reverse=True)
+    return tuple(x for x in (b - (beads - 1 - k) for k, b in enumerate(beta)) if x)
+
+
+class TestConjugateQuotient:
+    """The conjugate index of ``_multipartitions`` against brute force:
+    with a bead count divisible by e, lam with core mu and quotient k has
+    conjugate lam' with core mu' and quotient conj[k]."""
+
+    @pytest.mark.parametrize("e,a_max", [(1, 8), (2, 5), (3, 4), (4, 3), (5, 3), (7, 2), (9, 2)])
+    def test_conjugate_partition_has_conjugate_quotient(self, e, a_max):
+        for a in range(a_max + 1):
+            quotients, conj = _multipartitions(e, a)
+            for r in range(9 if e > 1 else 1):
+                for mu in _partition_tuples(r):
+                    if e > 1 and e_core(Partition(mu), e).parts != mu:
+                        continue
+                    mu_conj = _conjugate_parts(mu)
+                    for k, moves in enumerate(quotients):
+                        lam = _slide(mu, e, a, moves)
+                        assert _conjugate_parts(lam) == _slide(mu_conj, e, a, quotients[conj[k]]), \
+                            (mu, e, moves)
+
+    @pytest.mark.parametrize("e,a", [(1, 6), (5, 3), (7, 2), (25, 1), (49, 1)])
+    def test_conjugate_index_is_an_involution(self, e, a):
+        quotients, conj = _multipartitions(e, a)
+        assert len(conj) == len(quotients) == len(set(quotients))
+        assert all(conj[conj[k]] == k for k in range(len(conj)))
+
+    def test_moves_example(self):
+        # the 2-multipartitions of 2: ((1), (1)), ((2), -), ((1,1), -),
+        # (-, (2)), (-, (1,1)); conjugation reflects the runners and
+        # conjugates each component
+        quotients, conj = _multipartitions(2, 2)
+        assert quotients == (((0, 0, 1), (1, 0, 1)), ((0, 0, 2),), ((0, 0, 1), (0, 1, 1)),
+                             ((1, 0, 2),), ((1, 0, 1), (1, 1, 1)))
+        assert conj == (0, 4, 3, 2, 1)
+
+
 class TestPPrimePairs:
-    """``_pprime_pairs`` against ``_pprime_tuples``: one member of every
-    non-self-conjugate pair, once, and no self-conjugate partition."""
+    """``_pprime_pair_cores`` against ``_pprime_tuples``: one member of
+    every non-self-conjugate pair, once, and no self-conjugate partition."""
 
     @staticmethod
-    def _check(n: int, p: int) -> None:
-        pairs = list(_pprime_pairs(n, p))
+    def _kept(n: int, p: int) -> list[tuple[int, ...]]:
+        return [_slide(mu, e, a, moves)
+                for mu, e, a, quotients in _pprime_pair_cores(n, p) for moves in quotients]
+
+    @classmethod
+    def _check(cls, n: int, p: int) -> None:
+        pairs = cls._kept(n, p)
+        assert all(sum(parts) == n for parts in pairs), (n, p)
         assert len(pairs) == len(set(pairs)), (n, p)
         expected = set()
         for parts in _pprime_tuples(n, p):
@@ -300,7 +351,7 @@ class TestPPrimePairs:
 
     @pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 13])
     def test_one_per_pair(self, p):
-        for n in range(31):
+        for n in range(1, 31):
             self._check(n, p)
 
     @pytest.mark.parametrize("n,p", [(49, 7), (50, 5), (49, 2), (50, 3), (50, 7), (49, 13)])
@@ -310,10 +361,10 @@ class TestPPrimePairs:
 
     @pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 13])
     def test_count_is_half_mckay_minus_self_conjugate(self, p):
-        for n in [*range(31), 49, 50]:
+        for n in [*range(1, 31), 49, 50]:
             self_conjugate = [parts for parts in _self_conjugate_tuples(n)
                               if is_pprime_oracle(Partition(parts), p)]
-            pairs = sum(1 for _ in _pprime_pairs(n, p))
+            pairs = sum(1 for *_, quotients in _pprime_pair_cores(n, p) for _ in quotients)
             assert 2 * pairs + len(self_conjugate) == count_pprime_partitions_formula(n, p), (n, p)
 
     def test_self_conjugate_helper(self):
@@ -323,33 +374,22 @@ class TestPPrimePairs:
 
     def test_self_conjugate_core_branch(self):
         # (3,1,1) is a self-conjugate 7-core; on it, n = 54 = 49 + 5 keeps
-        # exactly one member of each pair that shares the core
+        # exactly one member of each pair that shares the core, and the
+        # conjugate of each kept partition is on the core too
         assert _conjugate_parts((3, 1, 1)) == (3, 1, 1)
-        on_core = [parts for parts in _pprime_pairs(54, 7)
-                   if e_core(Partition(parts), 49).parts == (3, 1, 1)]
-        assert on_core and all(_conjugate_parts(parts) < parts for parts in on_core)
+        on_core = [_slide(mu, e, a, moves) for mu, e, a, quotients in _pprime_pair_cores(54, 7)
+                   if mu == (3, 1, 1) for moves in quotients]
+        quotients, conj = _multipartitions(49, 1)
+        assert len(on_core) == sum(k < c for k, c in enumerate(conj)) == 24
+        assert all(e_core(Partition(parts), 49).parts == (3, 1, 1) for parts in on_core)
+        conjugates = {_conjugate_parts(parts) for parts in on_core}
+        assert not conjugates & set(on_core)
+        assert all(e_core(Partition(parts), 49).parts == (3, 1, 1) for parts in conjugates)
 
-
-class TestHookProduct:
-    def test_matches_hook_lengths_shared_memo(self):
-        memo = {}
-        for n in range(23):
-            for parts in _partition_tuples(n):
-                assert _hook_product(parts, memo) == prod(_hook_lengths(parts)), parts
-
-    def test_matches_hook_lengths_fresh_memo(self):
-        for n in range(23):
-            for parts in _partition_tuples(n):
-                assert _hook_product(parts, {}) == prod(_hook_lengths(parts)), parts
-
-    def test_long_column_needs_no_recursion(self):
-        # a recursive fill would need one frame per two rows: 200 here
-        limit = sys.getrecursionlimit()
-        sys.setrecursionlimit(len(inspect.stack()) + 50)
-        try:
-            column = _hook_product((1,) * 400, {})
-            near_column = _hook_product((2,) + (1,) * 399, {})
-        finally:
-            sys.setrecursionlimit(limit)
-        assert column == factorial(400)
-        assert near_column == factorial(401) // 400
+    def test_below_p_is_one_runner(self):
+        # n < p: the core is empty, the whole partition is the quotient on
+        # one runner, and one member of each conjugate pair is kept
+        (mu, e, a, quotients), = _pprime_pair_cores(6, 7)
+        assert (mu, e, a) == ((), 1, 6)
+        kept = {_slide(mu, e, a, moves) for moves in quotients}
+        assert len(kept) == (11 - 1) // 2  # p(6) = 11, one self-conjugate: (3,2,1)
