@@ -37,13 +37,15 @@ against.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import accumulate
+from itertools import accumulate, combinations, starmap
 from math import factorial, gcd, prod
+from operator import add, sub
 from typing import Iterator
 
 from .degrees import degree, factorial_valuation, hook_degree, is_pprime_macdonald
 from .partitions import (
     Partition,
+    _abacus,
     _conjugate_parts,
     _hook_lengths,
     _partition_tuples,
@@ -255,13 +257,14 @@ def scan_ext_degree_sets(n: int, primes: tuple[int, ...]) -> dict[int, set[int]]
     bead count L divisible by e = p^k, lam' has core mu' and quotient
     ((nu^(e-1-i))')_i (James and Kerber 2.7), so a core with mu' < mu
     keeps every quotient, one with mu' > mu none, and a self-conjugate
-    core quotient k iff k < conj[k].  Below p the core is empty, e = 1,
-    and the whole partition is the quotient on one runner.  No partition
-    is built: by Frobenius, deg lam = n! Delta(X) / prod_{x in X} x! on
-    any beta set X, so ``_core_degrees`` takes each degree from n!/H(mu)
-    by one ratio per moved bead x -> x + e v and one per pair of moved
-    beads, over mu's abacus padded to L beads, and ends with one exact
-    division.
+    core quotient k iff k < conj[k].  By Frobenius, deg lam =
+    n! Delta(X) / prod_{x in X} x! on any beta set X, so ``_core_degrees``
+    takes each degree from n!/H(mu) by one ratio per moved bead
+    x -> x + e v and one per pair of moved beads, over mu's abacus padded
+    to L beads, and ends with one exact division; no partition of n is
+    built.  Below p the core is empty, e = 1, and the whole partition is
+    the quotient on one runner: the partitions stream from the
+    enumeration and the formula is taken on each one's own beta set.
     """
     primes = tuple(primes)
     for p in primes:
@@ -286,9 +289,21 @@ def _core_degrees(fact: int, mu: tuple[int, ...], e: int, a: int, quotients) -> 
     beta set X0 it is n!/H(mu).  Each move x -> y multiplies it by its
     ratio from ``_bead_moves``, and each pair of moved beads by
     (x_i - x_j)(y_i - y_j) / ((y_j - x_i)(y_i - x_j)), zero factors left
-    out (a bead may land where another one left).  Each degree is the
-    absolute value of one exact division.
+    out (a bead may land where another one left).  For e = 1 (below p)
+    mu is empty and each quotient is lam itself, whose own beta set
+    {lam_i + len(lam) - 1 - i} gives the formula directly.  Each degree
+    is the absolute value of one exact division.
     """
+    if e == 1:
+        for parts in quotients:
+            beta = tuple(map(add, parts, range(len(parts) - 1, -1, -1)))
+            deg, rem = divmod(fact * prod(starmap(sub, combinations(beta, 2))),
+                              prod(map(factorial, beta)))
+            if rem:
+                raise ArithmeticError(f"the beta set {beta} gives no integral degree "
+                                      f"for n = {a}")
+            yield deg
+        return
     table = _bead_moves(mu, e, a)
     base = fact // prod(_hook_lengths(mu))
     for moves in quotients:
@@ -311,31 +326,25 @@ def _core_degrees(fact: int, mu: tuple[int, ...], e: int, a: int, quotients) -> 
 
 def _bead_moves(mu: tuple[int, ...], e: int, a: int) -> dict:
     """(i, j, v) -> (x, y, num, den) for every move of ``_multipartitions(e, a)``
-    on mu's beta set X0: the j-th lowest bead x of runner i goes to
+    on ``_abacus(mu, e, a)``, whose beta set X0 holds mu's beads above m
+    padding beads {0 .. m-1}: the j-th lowest bead x of runner i goes to
     y = x + e v, and num/den is Q(y) x! / (Q(x) y! e v) in lowest terms,
-    Q(z) = prod_{c in X0, c != z} |z - c|.
-
-    X0 has L beads, L the least multiple of e that is at least
-    len(mu) + e a, so that every runner holds at least a beads and the
-    runner labels are those of the conjugate index.  Its m = L - len(mu)
-    padding beads {0 .. m-1} contribute z!/(z-m)! to Q(z) for z >= m and
-    z! (m-1-z)! for z < m, so Q(z)/z! takes a product over mu's beads only.
+    Q(z) = prod_{c in X0, c != z} |z - c|.  The padding contributes
+    z!/(z-m)! to Q(z) for z >= m and z! (m-1-z)! for z < m, so Q(z)/z!
+    takes a product over mu's beads only.
     """
-    ell = len(mu)
-    beads = e * (a + -(-ell // e))
-    m = beads - ell
-    core = [v + beads - 1 - i for i, v in enumerate(mu)]
+    beta, runners = _abacus(mu, e, a)
+    core = beta[: len(mu)]
+    m = len(beta) - len(mu)
 
     def q_over_factorial(z: int) -> tuple[int, int]:
         c = prod(abs(z - b) for b in core if b != z)
         return (c, factorial(z - m)) if z >= m else (c * factorial(m - 1 - z), 1)
 
     table = {}
-    for i in range(e):
-        # mu's beads lie above the padding, so they are the lowest
-        runner = [b for b in core if b % e == i] + list(range(i + (m - 1 - i) // e * e, -1, -e))
+    for i, runner in enumerate(runners):
         for j in range(a):
-            x = runner[j]
+            x = beta[runner[j]]
             x_num, x_den = q_over_factorial(x)
             for v in range(1, a // (j + 1) + 1):
                 y = x + e * v

@@ -14,13 +14,13 @@ James-Kerber weight identity that ``degrees.is_pprime_macdonald``
 relies on.  The same abacus, run in reverse, generates the p'-degree
 partitions of n directly from the p-core tower (``_pprime_tuples``)
 without visiting the others: each is a p^k-core and a quotient, and
-``_multipartitions`` holds every quotient as its flat bead moves.  On a
-bead count divisible by e, lam' has core mu' and the reflected,
-conjugated quotient ((nu^(e-1-i))')_i (James and Kerber 2.7), so
-``_pprime_pair_cores`` names one member of each conjugate pair by its
-core and its quotient index, with no partition of n built or
-conjugated; below p the core is empty and the whole partition is the
-quotient on one runner.
+``_multipartitions`` holds every quotient as its flat bead moves.
+``_abacus`` lays out the core's abacus on a bead count divisible by e,
+where lam' has core mu' and the reflected, conjugated quotient
+((nu^(e-1-i))')_i (James and Kerber 2.7), so ``_pprime_pair_cores``
+names one member of each conjugate pair by its core and its quotient
+index, with no partition of n built or conjugated; below p the core is
+empty and the whole partition is the quotient on one runner.
 
 Partitions are immutable values and every function is pure, so the
 module is safe for concurrent use.  Enumeration order is fixed
@@ -376,22 +376,20 @@ def _pprime_pair_cores(n: int, p: int) -> Iterator[tuple[tuple[int, ...], int, i
     p'-partitions of n with lam != lam', and no self-conjugate partition.
 
     Each lam is given by its p^k-core mu and its quotient, as the bead
-    moves of ``_multipartitions(e, a)`` on mu's abacus with a bead count
-    divisible by e.  The p^k-core of lam' is mu' (James and Kerber 2.7),
-    so with mu' < mu every quotient is kept and the conjugates, on mu',
-    are never visited; with mu' > mu nothing is.  With mu' = mu (mu empty
-    included) quotient k is kept iff k < conj[k]; the fixed points of conj
-    are the self-conjugate lam.  Below p every partition lam of n is the
-    quotient of the empty 1-core, the moves (0, j, lam_j), and the rule
-    reads lam' < lam: the quotients stream from ``_partition_tuples``,
-    not from the cache, since there are p(n) of them.
+    moves of ``_multipartitions(e, a)`` on ``_abacus(mu, e, a)``.  The
+    p^k-core of lam' is mu' (James and Kerber 2.7), so with mu' < mu
+    every quotient is kept and the conjugates, on mu', are never visited;
+    with mu' > mu nothing is.  With mu' = mu quotient k is kept iff
+    k < conj[k]; the fixed points of conj are the self-conjugate lam.
+    Below p the core is empty, e = 1, and the quotient on the one runner
+    is lam itself, so the quotients are the partitions lam of n with
+    lam' < lam, streamed from ``_partition_tuples`` as their parts.
     """
     if n < p:
-        move = [[(0, j, v) for v in range(n // (j + 1) + 1)] for j in range(n)]
-        # a first column longer than the first row settles lam' > lam
-        yield (), 1, n, (tuple(map(list.__getitem__, move, parts))
-                         for parts in _partition_tuples(n)
-                         if len(parts) <= parts[0] and _conjugate_parts(parts) < parts)
+        # a first row longer than the first column settles lam' < lam
+        yield (), 1, n, (parts for parts in _partition_tuples(n)
+                         if parts and (len(parts) < parts[0] or len(parts) == parts[0]
+                                       and _conjugate_parts(parts) < parts))
         return
     e, a, r = _top_term(n, p)
     quotients, conj = _multipartitions(e, a)
@@ -413,27 +411,43 @@ def _top_term(n: int, p: int) -> tuple[int, int, int]:
     return e, a, r
 
 
-def _abacus_slides(mu: tuple[int, ...], e: int, a: int) -> Iterator[tuple[int, ...]]:
-    """Every partition with e-core mu and e-weight a, as raw tuples.
+def _abacus(mu: tuple[int, ...], e: int, a: int) -> tuple[list[int], list[list[int]]]:
+    """(beta, runners): the abacus on which a partition with e-core mu
+    and e-weight a is mu plus the bead moves of one quotient.
 
-    The core/quotient bijection on the beta-set abacus: one partition per
-    e-multipartition of a, made by applying its bead moves.
+    beta is mu's beta set on L beads, decreasing, L the least multiple of
+    e with L >= len(mu) + e a: the padding {0 .. L-len(mu)-1} puts at
+    least a beads on every runner, and L = 0 (mod e) makes the runner
+    labels those of the conjugate index of ``_multipartitions``.
+    runners[i] lists the indices in beta of runner i's beads, lowest
+    first (largest position first), so move (i, j, v) slides
+    beta[runners[i][j]] down to beta[runners[i][j]] + e v.
     """
-    # len(mu) + e * a beads, so that every runner holds at least a
-    beads = len(mu) + e * a
+    beads = e * (a + -(-len(mu) // e))
     beta = [v + beads - 1 - i for i, v in enumerate(mu)]
-    beta += range(e * a - 1, -1, -1)
-    offsets = range(beads - 1, -1, -1)
+    beta += range(beads - len(mu) - 1, -1, -1)
     runners: list[list[int]] = [[] for _ in range(e)]
-    for i, b in enumerate(beta):  # indices of each runner's beads, lowest first
-        runners[b % e].append(i)
+    for k, b in enumerate(beta):
+        runners[b % e].append(k)
+    return beta, runners
+
+
+def _slide(beta: list[int], runners: list[list[int]], e: int, moves) -> tuple[int, ...]:
+    """The partition whose beta set is ``_abacus``'s (beta, runners) after
+    the bead moves of one quotient."""
+    moved = beta[:]
+    for runner, j, v in moves:
+        moved[runners[runner][j]] += e * v
+    moved.sort(reverse=True)
+    return tuple(filter(None, map(sub, moved, range(len(moved) - 1, -1, -1))))
+
+
+def _abacus_slides(mu: tuple[int, ...], e: int, a: int) -> Iterator[tuple[int, ...]]:
+    """Every partition with e-core mu and e-weight a, as raw tuples, in
+    the order of the quotients of ``_multipartitions(e, a)``."""
+    beta, runners = _abacus(mu, e, a)
     for moves in _multipartitions(e, a)[0]:
-        moved = beta[:]
-        for runner, j, v in moves:
-            moved[runners[runner][j]] += e * v
-        moved.sort(reverse=True)
-        lam = list(map(sub, moved, offsets))
-        yield tuple(lam[: lam.index(0)] if lam[-1] == 0 else lam)
+        yield _slide(beta, runners, e, moves)
 
 
 def enumerate_partitions(n: int, *, bound: int = DEFAULT_ENUMERATION_BOUND) -> Iterator[Partition]:

@@ -36,6 +36,7 @@ from ppcd.partitions import (
     _abacus_slides,
     _hook_lengths,
     _multipartitions,
+    _partition_tuples,
     _pprime_tuples,
     _top_term,
     conjugate,
@@ -398,21 +399,32 @@ class TestExtDegreeSet:
 
 
 class TestCoreDegrees:
-    """``_core_degrees`` against n! over the hook product of every
-    partition ``_abacus_slides`` builds on the same core: the same
-    multiset of degrees, for every p'-core of every n; below p the core
-    is empty and the partition is the quotient on one runner."""
+    """``_core_degrees`` against n! over the hook product of each
+    partition ``_abacus_slides`` builds on the same core, quotient by
+    quotient, for every p'-core of every n; below p the core is empty and
+    each quotient is the partition itself."""
 
     @pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 13])
     def test_matches_hook_product(self, p):
         for n in range(1, 46):
             fact = factorial(n)
-            e, a, r = _top_term(n, p) if n >= p else (1, n, 0)
+            if n < p:
+                every = list(_partition_tuples(n))
+                assert list(_core_degrees(fact, (), 1, n, every)) == [
+                    fact // prod(_hook_lengths(lam)) for lam in every], (n, p)
+                continue
+            e, a, r = _top_term(n, p)
             quotients = _multipartitions(e, a)[0]
             for mu in _pprime_tuples(r, p):
-                expected = sorted(fact // prod(_hook_lengths(lam))
-                                  for lam in _abacus_slides(mu, e, a))
-                assert sorted(_core_degrees(fact, mu, e, a, quotients)) == expected, (n, p, mu)
+                expected = [fact // prod(_hook_lengths(lam)) for lam in _abacus_slides(mu, e, a)]
+                assert list(_core_degrees(fact, mu, e, a, quotients)) == expected, (n, p, mu)
+
+    def test_one_runner_inexact_raises(self):
+        # below p the degree is n! Delta(X) / prod x! on lam's own beta
+        # set; 5! over the (6,) row's 6! leaves a remainder
+        with pytest.raises(ArithmeticError,
+                           match=r"^the beta set \(6,\) gives no integral degree for n = 5$"):
+            list(_core_degrees(factorial(5), (), 1, 5, [(6,)]))
 
 
 class TestAnBound:

@@ -10,12 +10,15 @@ from ppcd.degrees import is_pprime_oracle
 from ppcd.hooks import count_pprime_partitions_formula
 from ppcd.partitions import (
     Partition,
+    _abacus,
+    _abacus_slides,
     _conjugate_parts,
     _hook_lengths,
     _multipartitions,
     _partition_tuples,
     _pprime_pair_cores,
     _pprime_tuples,
+    _slide,
     conjugate,
     divisible_hooks,
     e_core,
@@ -277,17 +280,10 @@ def _self_conjugate_tuples(n: int) -> list[tuple[int, ...]]:
     return out
 
 
-def _slide(mu: tuple[int, ...], e: int, a: int, moves) -> tuple[int, ...]:
-    """lam from its e-core mu and its quotient's bead moves, on the least
-    multiple of e beads that is at least len(mu) + e * a."""
-    beads = e * (a + -(-len(mu) // e))
-    beta = [v + beads - 1 - i for i, v in enumerate(mu)]
-    beta += range(beads - len(mu) - 1, -1, -1)
-    runners = [[k for k, b in enumerate(beta) if b % e == i] for i in range(e)]
-    for runner, j, v in moves:
-        beta[runners[runner][j]] += e * v
-    beta.sort(reverse=True)
-    return tuple(x for x in (b - (beads - 1 - k) for k, b in enumerate(beta)) if x)
+def _lam(mu: tuple[int, ...], e: int, a: int, quotient) -> tuple[int, ...]:
+    """lam from its e-core mu and one quotient of ``_pprime_pair_cores``:
+    bead moves on ``_abacus(mu, e, a)``, or below p (e = 1) lam itself."""
+    return quotient if e == 1 else _slide(*_abacus(mu, e, a), e, quotient)
 
 
 class TestConjugateQuotient:
@@ -303,11 +299,11 @@ class TestConjugateQuotient:
                 for mu in _partition_tuples(r):
                     if e > 1 and e_core(Partition(mu), e).parts != mu:
                         continue
-                    mu_conj = _conjugate_parts(mu)
-                    for k, moves in enumerate(quotients):
-                        lam = _slide(mu, e, a, moves)
-                        assert _conjugate_parts(lam) == _slide(mu_conj, e, a, quotients[conj[k]]), \
-                            (mu, e, moves)
+                    slides = list(_abacus_slides(mu, e, a))
+                    on_conjugate = list(_abacus_slides(_conjugate_parts(mu), e, a))
+                    assert len(slides) == len(quotients)
+                    for k, lam in enumerate(slides):
+                        assert _conjugate_parts(lam) == on_conjugate[conj[k]], (mu, e, quotients[k])
 
     @pytest.mark.parametrize("e,a", [(1, 6), (5, 3), (7, 2), (25, 1), (49, 1)])
     def test_conjugate_index_is_an_involution(self, e, a):
@@ -331,8 +327,8 @@ class TestPPrimePairs:
 
     @staticmethod
     def _kept(n: int, p: int) -> list[tuple[int, ...]]:
-        return [_slide(mu, e, a, moves)
-                for mu, e, a, quotients in _pprime_pair_cores(n, p) for moves in quotients]
+        return [_lam(mu, e, a, quotient)
+                for mu, e, a, quotients in _pprime_pair_cores(n, p) for quotient in quotients]
 
     @classmethod
     def _check(cls, n: int, p: int) -> None:
@@ -351,7 +347,7 @@ class TestPPrimePairs:
 
     @pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 13])
     def test_one_per_pair(self, p):
-        for n in range(1, 31):
+        for n in range(31):
             self._check(n, p)
 
     @pytest.mark.parametrize("n,p", [(49, 7), (50, 5), (49, 2), (50, 3), (50, 7), (49, 13)])
@@ -361,7 +357,7 @@ class TestPPrimePairs:
 
     @pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 13])
     def test_count_is_half_mckay_minus_self_conjugate(self, p):
-        for n in [*range(1, 31), 49, 50]:
+        for n in [*range(31), 49, 50]:
             self_conjugate = [parts for parts in _self_conjugate_tuples(n)
                               if is_pprime_oracle(Partition(parts), p)]
             pairs = sum(1 for *_, quotients in _pprime_pair_cores(n, p) for _ in quotients)
@@ -377,7 +373,7 @@ class TestPPrimePairs:
         # exactly one member of each pair that shares the core, and the
         # conjugate of each kept partition is on the core too
         assert _conjugate_parts((3, 1, 1)) == (3, 1, 1)
-        on_core = [_slide(mu, e, a, moves) for mu, e, a, quotients in _pprime_pair_cores(54, 7)
+        on_core = [_lam(mu, e, a, moves) for mu, e, a, quotients in _pprime_pair_cores(54, 7)
                    if mu == (3, 1, 1) for moves in quotients]
         quotients, conj = _multipartitions(49, 1)
         assert len(on_core) == sum(k < c for k, c in enumerate(conj)) == 24
@@ -388,8 +384,14 @@ class TestPPrimePairs:
 
     def test_below_p_is_one_runner(self):
         # n < p: the core is empty, the whole partition is the quotient on
-        # one runner, and one member of each conjugate pair is kept
+        # one runner, given as its parts, and one member of each conjugate
+        # pair is kept
         (mu, e, a, quotients), = _pprime_pair_cores(6, 7)
         assert (mu, e, a) == ((), 1, 6)
-        kept = {_slide(mu, e, a, moves) for moves in quotients}
-        assert len(kept) == (11 - 1) // 2  # p(6) = 11, one self-conjugate: (3,2,1)
+        kept = list(quotients)
+        assert kept == [(6,), (5, 1), (4, 2), (4, 1, 1), (3, 3)]  # p(6) = 11, (3,2,1) self-conjugate
+        assert kept == [parts for parts in _partition_tuples(6) if _conjugate_parts(parts) < parts]
+
+    def test_empty_partition_has_no_pair(self):
+        # the empty partition of 0 is self-conjugate
+        assert [list(quotients) for *_, quotients in _pprime_pair_cores(0, 2)] == [[]]
