@@ -391,7 +391,3 @@ class TestPPrimePairs:
         kept = list(quotients)
         assert kept == [(6,), (5, 1), (4, 2), (4, 1, 1), (3, 3)]  # p(6) = 11, (3,2,1) self-conjugate
         assert kept == [parts for parts in _partition_tuples(6) if _conjugate_parts(parts) < parts]
-
-    def test_empty_partition_has_no_pair(self):
-        # the empty partition of 0 is self-conjugate
-        assert [list(quotients) for *_, quotients in _pprime_pair_cores(0, 2)] == [[]]
