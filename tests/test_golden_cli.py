@@ -133,6 +133,11 @@ CORPUS: list[list[str]] = [
     # p = 7 the top power e = 49 with the self-conjugate core (1) at n = 50
     ["verify-an", "--n-max", "52", "--primes", "5", "--exact-bound", "52"],
     ["verify-an", "--n-max", "50", "--primes", "7", "--exact-bound", "50"],
+    # the constructive path past n = 100: n = 131 and 151 are 1 + p^k + p^h
+    # at p = 5, and larger primes where most n have one or two digits
+    ["verify-an", "--n-max", "160", "--primes", "5", "--exact-bound", "0"],
+    ["verify-an", "--n-max", "200", "--primes", "7,11,13", "--exact-bound", "0",
+     "--format", "json"],
 ]
 
 
