@@ -19,8 +19,14 @@ of A_n characters that extend to S_n for every n >= 7 and prime p > 3.
 The quasihook witnesses need no partition: with a = n - c - t the hook
 multiset of (a, c, 1^t) is the integer ranges {1..a-c} u {a-c+2..a} u
 {a+t+1} (first row), {1..c-1} u {c+t} (second row) and {1..t} (the
-leg), so the p'-test is a sum of Legendre values v_p(m!), and the
-quasihook is self-conjugate only when c = 2 and n = 2t + 4.
+leg).  As a + t = n - c is fixed, the p'-test of every leg is one
+filter over forward and reversed slices of the tables v_p(m) and
+v_p(m!), and each leg that passes has degree
+n * C(n-1, t) * C(a+c-1, c-1) * (a-c+1) / ((n-c+1)(c+t)), one exact
+division.  For c = 2 the leg t mirrors to the conjugate leg n - 4 - t,
+so the legs below (n - 4)/2 give every degree and skip the
+self-conjugate one; the p'-hooks likewise give every C(n-1, x) from
+the legs x < (n - 1)/2.
 
 The exact extendable p'-degree sets of A_n are generated from the
 p-core tower: only the p'-partitions of n are visited, as many as the
@@ -37,8 +43,8 @@ against.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import accumulate, combinations, starmap
-from math import factorial, gcd, prod
+from itertools import accumulate, combinations, repeat, starmap
+from math import comb, factorial, gcd, prod
 from operator import add, sub
 from typing import Iterator
 
@@ -417,10 +423,9 @@ def ext_pprime_degree_set(n: int, p: int, *, bound: int = DEFAULT_SCAN_BOUND,
 
 
 def _constructive_ext_degrees(n: int, p: int, _xs: list[int] | None = None) -> set[int]:
-    degs = set()
-    for x in pprime_hook_xs(n, p) if _xs is None else _xs:
-        if 2 * x != n - 1:  # skip the self-conjugate hook
-            degs.add(hook_degree(n, x))
+    xs = pprime_hook_xs(n, p) if _xs is None else _xs
+    # C(n-1, x) = C(n-1, n-1-x): the lower half, without the self-conjugate hook
+    degs = set(map(comb, repeat(n - 1), [x for x in xs if 2 * x < n - 1]))
     for c in (2, 3):
         if n >= 4 + c:
             degs |= _quasihook_witnesses(n, p, c)
@@ -457,29 +462,48 @@ def _quasihook_witnesses(n: int, p: int, c: int, need: int | None = None) -> set
     No partition is built.  With a = n - c - t the hook lengths are
     {1..a-c} u {a-c+2..a} u {a+t+1} in the first row, {1..c-1} u {c+t}
     in the second and {1..t} in the leg, so their product is
-    H = a!/(a-c+1) * (a+t+1) * (c+t) * (c-1)! * t!, and v_p(n!/H) is a
-    sum of Legendre values L[m] = v_p(m!).  The conjugate is
-    (t+2, 2^(c-1), 1^(a-c)), so the quasihook is self-conjugate only
-    when c = 2 and n = 2t + 4.  The degree n!/H is taken only for the
-    leg lengths that pass.
+    H = a!/(a-c+1) * (a+t+1) * (c+t) * (c-1)! * t!.  As a + t = n - c is
+    fixed, v_p(n!/H) = v0 + V[a-c+1] - L[a] - V[c+t] - L[t] with
+    V[m] = v_p(m), L[m] = v_p(m!) and v0 = L[n] - V[n-c+1] - L[c-1], so
+    the legs that pass are one filter over forward and reversed slices
+    of V and L, and only they reach ``_quasihook_degrees``.  The
+    conjugate of (n-2-t, 2, 1^t) is (t+2, 2, 1^(n-4-t)), the c = 2
+    quasihook of leg n-4-t, so for c = 2 the legs t <= (n-5)//2 give
+    every degree, and the self-conjugate leg t = (n-4)/2 lies outside
+    them; the first degrees by increasing t are the same ones.
     """
-    L = list(accumulate(_valuation_table(n, p)))
-    fact_n = factorial(n)
-    fact_c = factorial(c - 1)
+    V = _valuation_table(n, p)
+    L = list(accumulate(V))
+    v0 = L[n] - V[n - c + 1] - L[c - 1]
+    top = (n - 5) // 2 if c == 2 else n - 2 * c
+    # la = L[a], lt = L[t], vb = V[a-c+1], vc = V[c+t] at a = n - c - t
+    legs = [t for t, la, lt, vb, vc in zip(range(top + 1), L[n - c::-1], L,
+                                           V[n - 2 * c + 1::-1], V[c:])
+            if la + lt + vc - vb == v0]
     out: set[int] = set()
-    for t in range(0, n - 2 * c + 1):
-        a = n - c - t
-        if c == 2 and n == 2 * t + 4:
-            continue
-        if (L[n] - L[a - c] - L[a] + L[a - c + 1]
-                - (L[a + t + 1] - L[a + t]) - (L[c + t] - L[c + t - 1])
-                - L[c - 1] - L[t]):
-            continue
-        hook_product = factorial(a) // (a - c + 1) * (a + t + 1) * (c + t) * fact_c * factorial(t)
-        out.add(fact_n // hook_product)
+    for deg in _quasihook_degrees(n, c, legs):
+        out.add(deg)
         if len(out) == need:
             break
     return out
+
+
+def _quasihook_degrees(n: int, c: int, legs) -> Iterator[int]:
+    """deg (n-c-t, c, 1^t) for each t in ``legs``, in order.
+
+    n!/H with the hook product H of ``_quasihook_witnesses`` is
+    n * C(n-1, t) * C(a+c-1, c-1) * (a-c+1) / ((n-c+1)(c+t)), a = n-c-t:
+    two binomials and one exact division, whose remainder raises.
+    """
+    r = n - 1
+    corner = n - c + 1
+    for t in legs:
+        deg, rem = divmod(n * comb(r, t) * comb(r - t, c - 1) * (r - 2 * c + 2 - t),
+                          corner * (c + t))
+        if rem:
+            raise ArithmeticError(f"the quasihook (n, c, t) = ({n}, {c}, {t}) gives no "
+                                  f"integral degree")
+        yield deg
 
 
 def _row_extension_degrees(n: int, p: int) -> set[int]:

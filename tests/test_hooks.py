@@ -5,7 +5,7 @@ import re
 import sys
 import tracemalloc
 from collections import Counter
-from math import factorial, prod
+from math import comb, factorial, prod
 
 import pytest
 
@@ -17,6 +17,7 @@ from ppcd.hooks import (
     _an_bound_case,
     _core_degrees,
     _layered_first_parts,
+    _quasihook_degrees,
     _quasihook_witnesses,
     count_pprime_hooks_formula,
     ext_pprime_degree_set,
@@ -298,6 +299,30 @@ class TestQuasihookWitnesses:
                 for t in range(0, n - 2 * c + 1):
                     assert is_self_conjugate(quasihook(n, c, t)) == (c == 2 and n == 2 * t + 4)
 
+    def test_closed_form_degree_per_leg(self):
+        # every leg, not only those that pass a p'-test
+        for n in range(6, 121):
+            for c in (2, 3) if n >= 7 else (2,):
+                legs = range(n - 2 * c + 1)
+                assert (list(_quasihook_degrees(n, c, legs))
+                        == [degree(quasihook(n, c, t)) for t in legs])
+
+    def test_row2_mirror(self):
+        # the half range of c = 2 rests on this
+        for n in range(6, 61):
+            for t in range(n - 3):
+                assert conjugate(quasihook(n, 2, t)) == quasihook(n, 2, n - 4 - t)
+
+    def test_inexact_closed_form_raises(self, monkeypatch):
+        # upper binomial index off by one: at n = 12, c = 2 the divisor
+        # (n - c + 1)(c + t) holds the prime 11, and the leg t = 0, which
+        # passes at p = 5, gives 12 * C(10, 0) * C(10, 1) * 9 with no 11
+        monkeypatch.setattr(hooks_mod, "comb", lambda m, k: comb(m - 1, k))
+        with pytest.raises(ArithmeticError,
+                           match=r"^the quasihook \(n, c, t\) = \(12, 2, 0\) gives no "
+                                 r"integral degree$"):
+            _quasihook_witnesses(12, 5, 2)
+
 
 def _one_plus_power_closed_form(m: int) -> set[tuple[int, ...]]:
     """The p'-partitions of m = 1 + p^k: the row (m), the column (1^m)
@@ -465,6 +490,15 @@ class TestAnBound:
                 for p in range(5, 98) if is_prime(p)
                 for n in range(7, 2000)}
         assert seen == {"hooks", "1+a*p^k", "2+p^k", "1+p^k+p^h"}
+
+    def test_non_hook_cases_are_1_or_2_mod_p(self):
+        # the lemma of the case split: with fewer than 6 p'-hooks,
+        # n = 1 or 2 (mod p)
+        for p in range(5, 98):
+            if is_prime(p):
+                for n in range(7, 10001):
+                    if _an_bound_case(n, p) != "hooks":
+                        assert n % p in (1, 2), (n, p)
 
     def test_preconditions(self):
         with pytest.raises(ValueError):
