@@ -138,6 +138,9 @@ CORPUS: list[list[str]] = [
     ["verify-an", "--n-max", "160", "--primes", "5", "--exact-bound", "0"],
     ["verify-an", "--n-max", "200", "--primes", "7,11,13", "--exact-bound", "0",
      "--format", "json"],
+    # n = 307 = 1 + 17 + 17^2 and n = 381 = 1 + 19 + 19^2 on the
+    # constructive path
+    ["verify-an", "--n-max", "400", "--primes", "17,19", "--exact-bound", "0"],
 ]
 
 
