@@ -175,6 +175,7 @@ def cmd_verify_an(args, out) -> int:
             if formula != enum or not bound_ok:
                 violations.append({"n": n, "p": p, "formula": formula,
                                    "enumerated": enum, "bound_ok": bound_ok,
+                                   "method": result.method,
                                    "witnesses": list(result.witnesses)})
             rows.append({"n": n, "p": p, "count_formula": formula, "count_enum": enum,
                          "ext_degrees_found": ext_found, "bound_ok": bound_ok})

@@ -15,13 +15,19 @@ valuation oracle, and ``quasihook_monotone`` is acceptance criterion 4.
 
 On top of that sit the quasihook degree families (n-c-t, c, 1^t) and
 ``verify_An_bound``, which certifies at least three distinct p'-degrees
-of A_n characters that extend to S_n for every n >= 7 and prime p > 3.
-The quasihook witnesses need no partition: with a = n - c - t the hook
-multiset of (a, c, 1^t) is the integer ranges {1..a-c} u {a-c+2..a} u
-{a+t+1} (first row), {1..c-1} u {c+t} (second row) and {1..t} (the
-leg).  As a + t = n - c is fixed, the p'-test of every leg is one
-filter over forward and reversed slices of the tables v_p(m) and
-v_p(m!), and each leg that passes has degree
+of A_n characters that extend to S_n.  The bound holds for every n >= 7
+and prime p > 3, by a lemma (``_an_bound_case``): with 6 or more
+p'-hooks the short-leg hooks give three degrees, and with fewer,
+n = 1 or 2 (mod p) and two closed-form degrees of (n-2, 2), (n-3, 2, 1)
+or of (n-3, 3), (n-4, 3, 1) join the trivial one.
+
+Above the scan bound the extendable sets are the p'-hooks and the
+quasihook witnesses, and these need no partition: with a = n - c - t
+the hook multiset of (a, c, 1^t) is the integer ranges
+{1..a-c} u {a-c+2..a} u {a+t+1} (first row), {1..c-1} u {c+t} (second
+row) and {1..t} (the leg).  As a + t = n - c is fixed, the p'-test of
+every leg is one filter over forward and reversed slices of the tables
+v_p(m) and v_p(m!), and each leg that passes has degree
 n * C(n-1, t) * C(a+c-1, c-1) * (a-c+1) / ((n-c+1)(c+t)), one exact
 division.  For c = 2 the leg t mirrors to the conjugate leg n - 4 - t,
 so the legs below (n - 4)/2 give every degree and skip the
@@ -48,7 +54,7 @@ from math import comb, factorial, gcd, prod
 from operator import add, sub
 from typing import Iterator
 
-from .degrees import degree, factorial_valuation, hook_degree, is_pprime_macdonald
+from .degrees import degree, factorial_valuation, hook_degree
 from .partitions import (
     Partition,
     _abacus,
@@ -56,9 +62,7 @@ from .partitions import (
     _hook_lengths,
     _partition_tuples,
     _pprime_pair_cores,
-    _pprime_tuples,
     hook_partition,
-    is_self_conjugate,
     p_adic_expansion,
     require_int,
     require_prime,
@@ -429,14 +433,6 @@ def _constructive_ext_degrees(n: int, p: int, _xs: list[int] | None = None) -> s
     for c in (2, 3):
         if n >= 4 + c:
             degs |= _quasihook_witnesses(n, p, c)
-    digits = p_adic_expansion(n, p)
-    if (
-        len(digits) == 3
-        and digits[0] == (1, 0)
-        and digits[1][0] == 1
-        and digits[2][0] == 1
-    ):
-        degs.update(_row_extension_degrees(n, p))
     return degs
 
 
@@ -454,10 +450,9 @@ class AnBoundResult:
     method: str
 
 
-def _quasihook_witnesses(n: int, p: int, c: int, need: int | None = None) -> set[int]:
+def _quasihook_witnesses(n: int, p: int, c: int) -> set[int]:
     """Degrees of the p'-degree, non-self-conjugate quasihooks
-    (n-c-t, c, 1^t), c in {2, 3} and n >= 4 + c, by increasing t; stops
-    once ``need`` are found (None: every leg length).
+    (n-c-t, c, 1^t), c in {2, 3} and n >= 4 + c.
 
     No partition is built.  With a = n - c - t the hook lengths are
     {1..a-c} u {a-c+2..a} u {a+t+1} in the first row, {1..c-1} u {c+t}
@@ -470,7 +465,7 @@ def _quasihook_witnesses(n: int, p: int, c: int, need: int | None = None) -> set
     conjugate of (n-2-t, 2, 1^t) is (t+2, 2, 1^(n-4-t)), the c = 2
     quasihook of leg n-4-t, so for c = 2 the legs t <= (n-5)//2 give
     every degree, and the self-conjugate leg t = (n-4)/2 lies outside
-    them; the first degrees by increasing t are the same ones.
+    them.
     """
     V = _valuation_table(n, p)
     L = list(accumulate(V))
@@ -480,12 +475,7 @@ def _quasihook_witnesses(n: int, p: int, c: int, need: int | None = None) -> set
     legs = [t for t, la, lt, vb, vc in zip(range(top + 1), L[n - c::-1], L,
                                            V[n - 2 * c + 1::-1], V[c:])
             if la + lt + vc - vb == v0]
-    out: set[int] = set()
-    for deg in _quasihook_degrees(n, c, legs):
-        out.add(deg)
-        if len(out) == need:
-            break
-    return out
+    return set(_quasihook_degrees(n, c, legs))
 
 
 def _quasihook_degrees(n: int, c: int, legs) -> Iterator[int]:
@@ -506,57 +496,50 @@ def _quasihook_degrees(n: int, c: int, legs) -> Iterator[int]:
         yield deg
 
 
-def _row_extension_degrees(n: int, p: int) -> set[int]:
-    """Degrees from extending the first row of every p'-partition of
-    m = 1 + p^k by the top power p^h, for n = 1 + p^k + p^h."""
-    digits = p_adic_expansion(n, p)
-    k = digits[1][1]
-    h = digits[2][1]
-    step = p**h
-    out: set[int] = set()
-    for gamma in _pprime_tuples(1 + p**k, p):
-        lam = Partition._from_valid((gamma[0] + step,) + gamma[1:], n)
-        if is_pprime_macdonald(lam, p) and not is_self_conjugate(lam):
-            out.add(degree(lam))
-    return out
-
-
 def _an_bound_case(n: int, p: int) -> str:
     """Which family certifies the A_n bound at (n, p); computes no degree.
 
-    With n = sum_j a_j p^{n_j} (nonzero digits, increasing exponents),
-    the p'-hook count is a_1 p^{n_1} prod_{j >= 2} (a_j + 1).  If it is
-    at least 6, the short-leg hooks already give three degrees.  Below 6
-    (n >= 7, p >= 5), n_1 >= 1 would need a_1 p^{n_1} = 5 with no other
-    digit, i.e. n = 5; so n_1 = 0, and a single digit would make the
-    count n >= 7.  Every further digit multiplies the count by at least
-    2, so a_1 (a_2 + 1) <= 5 leaves 1 + a p^k (a <= 4) and 2 + p^k, and
-    a_1 (a_2 + 1) (a_3 + 1) <= 5 leaves 1 + p^k + p^h; four digits give
-    at least 8.  No other shape is reachable.
+    The lemma: for n >= 7 and p >= 5, fewer than 6 p'-hooks force
+    n = 1 or 2 (mod p).  With n = sum_j a_j p^{n_j} (nonzero digits,
+    increasing exponents) the count is a_1 p^{n_1} prod_{j >= 2} (a_j + 1).
+    If n_1 >= 1, a count below 6 needs a_1 p^{n_1} = 5 with no other
+    digit, i.e. n = 5; so n_1 = 0 and a_1 = n mod p.  A single digit makes
+    the count a_1 = n >= 7, so a_2 >= 1 exists, and a_1 (a_2 + 1) < 6
+    gives a_1 <= 2.
     """
     if count_pprime_hooks_formula(n, p) >= 6:
         return "hooks"
-    digits = p_adic_expansion(n, p)
-    if len(digits) == 2 and digits[0] == (1, 0):
-        return "1+a*p^k"
-    if len(digits) == 2 and digits[0] == (2, 0) and digits[1][0] == 1:
-        return "2+p^k"
-    if len(digits) == 3 and digits[0] == (1, 0) and digits[1][0] == digits[2][0] == 1:
-        return "1+p^k+p^h"
+    if n % p in (1, 2):
+        return f"{n % p}-mod-p"
     raise AssertionError(f"n = {n} has p'-hook count below 6 for p = {p} "
-                         f"but none of the base-{p} shapes it forces")
+                         f"but is {n % p} mod {p}, not 1 or 2")
+
+
+def _closed_form_pair(n: int, r: int) -> tuple[int, int]:
+    """deg (n-2, 2) and deg (n-3, 2, 1) for r = 1; deg (n-3, 3) and
+    deg (n-4, 3, 1) for r = 2.
+
+    At n = r (mod p) their factors are 1, -2 and 1, -1, -3 (r = 1) or
+    2, 1, -3 and 2, 1, -1, -4 (r = 2) over the denominators 2, 3, 6 and
+    8, so p > 3 divides neither.  All four divisions are exact.
+    """
+    if r == 1:
+        return n * (n - 3) // 2, n * (n - 2) * (n - 4) // 3
+    return n * (n - 1) * (n - 5) // 6, n * (n - 1) * (n - 3) * (n - 6) // 8
 
 
 def verify_An_bound(n: int, p: int, _xs: list[int] | None = None) -> AnBoundResult:
     """Certify >= 3 distinct extendable p'-degrees of A_n (n >= 7, p > 3).
 
-    Generic case: floor(count/2) >= 3 and the short-leg p'-hooks give
-    distinct degrees directly.  The remaining base-p shapes of n
-    (1 + a p^k, 2 + p^k, 1 + p^k + p^h; ``_an_bound_case`` shows there
-    are no others) use the quasihook and row-extension families; every
-    constructed witness is re-checked p'-degree and non-self-conjugate
-    rather than trusted.  ``_xs`` is ``pprime_hook_xs(n, p)``, for a
-    caller that already has it.
+    This holds for every such n, by the lemma of ``_an_bound_case``.  With
+    at least 6 p'-hooks the short-leg hooks give three distinct degrees.
+    Otherwise n = 1 or 2 (mod p), and the witnesses are 1 and the
+    ``_closed_form_pair`` of that residue.  None of those four
+    partitions is self-conjugate at n >= 7: their conjugates are
+    (2, 2, 1^(n-4)), (3, 2, 1^(n-5)), (2, 2, 2, 1^(n-6)) and
+    (3, 2, 2, 1^(n-7)).  Every witness is re-checked p'-degree and the
+    three distinct, rather than trusted.  ``_xs`` is ``pprime_hook_xs(n, p)``,
+    for a caller that already has it.
     """
     require_int(n, 7, "expected an integer n >= 7, got {!r}")
     require_prime(p)
@@ -573,14 +556,5 @@ def verify_An_bound(n: int, p: int, _xs: list[int] | None = None) -> AnBoundResu
                     break
         return AnBoundResult(len(wits) >= 3, tuple(sorted(wits)), "hook-degrees")
 
-    if case == "1+a*p^k":
-        wits = {1} | _quasihook_witnesses(n, p, 2, 2)
-        method = "quasihook-row2"
-    elif case == "2+p^k":
-        wits = {1} | _quasihook_witnesses(n, p, 3, 2)
-        method = "quasihook-row3"
-    else:
-        wits = {1} | _row_extension_degrees(n, p)
-        method = "row-extension"
-
-    return AnBoundResult(len(wits) >= 3, tuple(sorted(wits))[:3], method)
+    closed = (1, *_closed_form_pair(n, n % p))
+    return AnBoundResult(len(set(closed)) == 3 and all(d % p for d in closed), closed, case)

@@ -126,6 +126,7 @@ class TestVerifyAn:
         record = json.loads(err)
         assert record["violation"] == "an-bound"
         assert record["first"]["n"] == 7
+        assert record["first"]["method"] == "forced"
 
 
 def _block(primes, failing=()):

@@ -15,11 +15,13 @@ from ppcd.degrees import degree, is_pprime_macdonald, is_pprime_oracle
 from ppcd.hooks import (
     DEFAULT_SCAN_BOUND,
     _an_bound_case,
+    _closed_form_pair,
     _core_degrees,
     _layered_first_parts,
     _quasihook_degrees,
     _quasihook_witnesses,
     count_pprime_hooks_formula,
+    count_pprime_partitions_formula,
     ext_pprime_degree_set,
     filter_ext_degree_sets,
     halved_count_lower_bound,
@@ -45,6 +47,7 @@ from ppcd.partitions import (
     hook_partition,
     is_prime,
     is_self_conjugate,
+    p_adic_expansion,
 )
 
 PRIMES = (5, 7, 11, 13)
@@ -284,8 +287,6 @@ class TestQuasihookWitnesses:
         for n in range(7, 101):
             for c in (2, 3):
                 assert _quasihook_witnesses(n, p, c) == _quasihook_witnesses_oracle(n, p, c)
-                assert (_quasihook_witnesses(n, p, c, 2)
-                        == _quasihook_witnesses_oracle(n, p, c, 2))
 
     @pytest.mark.parametrize("p", [2, 3, 17])
     def test_constructive_sets(self, p, monkeypatch):
@@ -332,8 +333,8 @@ def _one_plus_power_closed_form(m: int) -> set[tuple[int, ...]]:
 
 
 class TestSmallPartitionList:
-    """The p-core-tower generator at m = 1 + p^k, where the row
-    extension family of ``verify_An_bound`` takes its partitions."""
+    """The p-core-tower generator at m = 1 + p^k, whose p'-partitions
+    are the two trivial hooks and the c = 2 quasihooks."""
 
     def test_example_m6(self):
         got = set(_pprime_tuples(6, 5))
@@ -454,7 +455,7 @@ class TestCoreDegrees:
 
 class TestAnBound:
     @pytest.mark.parametrize(
-        "n,p,method",
+        "n,p,family",
         [
             (7, 5, "quasihook-row3"),  # 2 + 5: row-3 quasihooks (4,3), (3,3,1)
             (26, 5, "quasihook-row2"),  # 1 + 5^2
@@ -462,15 +463,22 @@ class TestAnBound:
             (21, 5, "quasihook-row2"),  # 1 + 4*5
             (27, 5, "quasihook-row3"),  # 2 + 5^2
             (9, 7, "quasihook-row3"),  # 2 + 7
-            (31, 5, "row-extension"),  # 1 + 5 + 5^2
-            (57, 7, "row-extension"),  # 1 + 7 + 7^2
+            (31, 5, "quasihook-row2"),  # 1 + 5 + 5^2
+            (57, 7, "quasihook-row2"),  # 1 + 7 + 7^2
             (10, 5, "hook-degrees"),
         ],
     )
-    def test_special_shapes(self, n, p, method):
+    def test_special_shapes(self, n, p, family):
+        # the non-hook witnesses are the quasihooks of legs 0 and 1 with
+        # second row c, at n = c - 1 (mod p)
         result = verify_An_bound(n, p)
-        assert result.ok and result.method == method
-        assert 1 in result.witnesses
+        assert result.ok and 1 in result.witnesses
+        if family == "hook-degrees":
+            assert result.method == family
+        else:
+            c = int(family[-1])
+            assert result.method == f"{c - 1}-mod-p"
+            assert result.witnesses == (1, *_quasihook_degrees(n, c, (0, 1)))
 
     def test_witnesses_are_extendable_degrees(self):
         for n, p in ((7, 5), (10, 5), (26, 5), (27, 5), (31, 5), (14, 13)):
@@ -484,12 +492,12 @@ class TestAnBound:
                 assert verify_An_bound(n, p).ok
 
     def test_every_case_is_handled(self):
-        # the base-p shape argument of _an_bound_case, checked without
-        # computing a degree: no (n, p) falls outside the four cases
+        # the lemma of _an_bound_case, checked without computing a
+        # degree: no (n, p) falls outside the three cases
         seen = {_an_bound_case(n, p)
                 for p in range(5, 98) if is_prime(p)
                 for n in range(7, 2000)}
-        assert seen == {"hooks", "1+a*p^k", "2+p^k", "1+p^k+p^h"}
+        assert seen == {"hooks", "1-mod-p", "2-mod-p"}
 
     def test_non_hook_cases_are_1_or_2_mod_p(self):
         # the lemma of the case split: with fewer than 6 p'-hooks,
@@ -499,6 +507,61 @@ class TestAnBound:
                 for n in range(7, 10001):
                     if _an_bound_case(n, p) != "hooks":
                         assert n % p in (1, 2), (n, p)
+
+    def test_lemma_by_digits(self):
+        # fewer than 6 p'-hooks force n = 1 or 2 (mod p), for n <= 10^5:
+        # the hook count a_1 p^{n_1} prod_{j >= 2} (a_j + 1) of every n at
+        # once, a power of p at a time, with no degree and no per-n call.
+        # Below p^(k+1), d p^k + j (0 < j < p^k) has count (d + 1) C[j],
+        # and d p^k has count d p^k.
+        limit = 10**5
+        for p in range(5, 98):
+            if not is_prime(p):
+                continue
+            counts, step = list(range(min(p, limit + 1))), p
+            while len(counts) <= limit:
+                counts = [(d + 1) * c for d in range(min(p, limit // step + 1))
+                          for c in counts]
+                counts[::step] = range(0, len(counts), step)
+                step *= p
+            del counts[limit + 1:]
+            assert counts[::997] == [count_pprime_hooks_formula(n, p) if n else 0
+                                     for n in range(0, limit + 1, 997)]
+            assert [n for n, c in enumerate(counts)
+                    if c < 6 and n >= 7 and n % p not in (1, 2)] == [], p
+
+    def test_guard_names_n_and_p(self, monkeypatch):
+        # force the non-hook branch at n = 3 (mod 5): the lemma's guard raises
+        monkeypatch.setattr(hooks_mod, "count_pprime_hooks_formula", lambda n, p: 5)
+        with pytest.raises(AssertionError,
+                           match=r"^n = 8 has p'-hook count below 6 for p = 5 "
+                                 r"but is 3 mod 5, not 1 or 2$"):
+            verify_An_bound(8, 5)
+
+    def test_closed_forms_are_partition_degrees(self):
+        for n in range(7, 201):
+            assert _closed_form_pair(n, 1) == (degree(Partition([n - 2, 2])),
+                                               degree(Partition([n - 3, 2, 1])))
+            assert _closed_form_pair(n, 2) == (degree(Partition([n - 3, 3])),
+                                               degree(Partition([n - 4, 3, 1])))
+
+    def test_closed_forms_are_quasihook_witnesses(self):
+        # at every non-hook pair the closed forms are p'-degree quasihook
+        # degrees, the ones the constructive set also holds
+        seen = 0
+        for p in range(5, 32):
+            if not is_prime(p):
+                continue
+            for n in range(7, 3001):
+                if _an_bound_case(n, p) == "hooks":
+                    continue
+                r = n % p
+                pair = _closed_form_pair(n, r)
+                assert all(d % p for d in pair), (n, p)
+                assert set(pair) <= _quasihook_witnesses(n, p, r + 1), (n, p)
+                assert verify_An_bound(n, p).witnesses == (1, *pair)
+                seen += 1
+        assert seen == 132
 
     def test_preconditions(self):
         with pytest.raises(ValueError):
@@ -539,6 +602,38 @@ class TestAnBound:
             sets = scan_ext_degree_sets(n, PRIMES)
             for p in PRIMES:
                 assert len(sets[p]) >= halved_count_lower_bound(n, p)
+
+
+class TestNegativeControls:
+    """Known inputs on which a contract fails, and mutated formulas that
+    the enumeration oracles must reject: each check is shown able to fail."""
+
+    def test_a5_at_p2_has_fewer_than_three_degrees(self):
+        assert scan_ext_degree_sets(5, (2,))[2] == filter_ext_degree_sets(5, (2,))[2] == {1, 5}
+
+    @pytest.mark.parametrize("p", PRIMES)
+    def test_mutated_hook_count_is_caught(self, p):
+        # a_2 + 1 read as a_2 + 2: wrong exactly where n has a second digit
+        def mutant(n):
+            (a1, e1), *rest = p_adic_expansion(n, p)
+            return a1 * p**e1 * prod(a + 1 + (j == 0) for j, (a, _) in enumerate(rest))
+
+        wrong = {n for n in range(1, 201) if mutant(n) != len(pprime_hook_xs(n, p))}
+        assert wrong == {n for n in range(1, 201) if len(p_adic_expansion(n, p)) >= 2}
+        assert len(wrong) >= 150
+
+    @pytest.mark.parametrize("p", (5, 7))
+    def test_mutated_mckay_count_is_caught(self, p):
+        # the factor of the lowest digit, k(p^k, a), one too small
+        def mutant(n):
+            factors = [count_pprime_partitions_formula(a * p**k, p)
+                       for a, k in p_adic_expansion(n, p)]
+            return (factors[0] - 1) * prod(factors[1:])
+
+        for n in range(1, 31):
+            listed = sum(1 for _ in _pprime_tuples(n, p))
+            assert count_pprime_partitions_formula(n, p) == listed
+            assert mutant(n) != listed, (n, p)
 
 
 # the first precondition each entry point checks, with its exact message
