@@ -141,6 +141,12 @@ CORPUS: list[list[str]] = [
     # n = 307 = 1 + 17 + 17^2 and n = 381 = 1 + 19 + 19^2 on the
     # constructive path
     ["verify-an", "--n-max", "400", "--primes", "17,19", "--exact-bound", "0"],
+    # error records of a prime list with a non-prime after a prime, on the
+    # exact and the constructive path; a negative bound; a repeated prime
+    *(["verify-an", "--n-max", "8", "--primes", primes, *bound]
+      for primes in ("5,4", "7,3") for bound in ((), ("--exact-bound", "0"))),
+    ["verify-an", "--n-max", "12", "--primes", "5", "--exact-bound", "-1"],
+    ["verify-an", "--n-max", "8", "--primes", "5,5"],
 ]
 
 
