@@ -5,8 +5,9 @@ with two independent p'-degree tests; the p'-hook counting formula
 against two constructions of the set; quasihook families and the
 extendable-degree lower bound for A_n; and the degree polynomials in q
 used for the small Lie-type families, with their divisibility
-contracts.  Each public helper that no CLI path uses is the oracle of a
-named check.
+contracts.  Each public name that no CLI path reaches, both p'-degree
+tests among them, is the oracle or the subject of a named check; the
+README lists each with its check.
 """
 
 from .ctbl import (

@@ -155,23 +155,13 @@ def cmd_verify_an(args, out) -> int:
     violations = []
     rows = []
     for n in range(7, args.n_max + 1):
-        exact_sets = hooks_mod.scan_ext_degree_sets(n, primes) if n <= args.exact_bound else None
         for p in primes:
             formula = hooks_mod.count_pprime_hooks_formula(n, p)
             xs = hooks_mod.pprime_hook_xs(n, p)
             enum = len(xs)
             result = hooks_mod.verify_An_bound(n, p, _xs=xs)
-            if exact_sets is not None:
-                ext_found = len(exact_sets[p])
-                bound_ok = (
-                    result.ok
-                    and ext_found >= 3
-                    and ext_found >= hooks_mod.halved_count_lower_bound(n, p)
-                )
-            else:
-                ext_found = len(hooks_mod.ext_pprime_degree_set(n, p, bound=args.exact_bound,
-                                                                _xs=xs))
-                bound_ok = result.ok
+            ext_found = len(hooks_mod.ext_pprime_degree_set(n, p, bound=args.exact_bound, _xs=xs))
+            bound_ok = result.ok and ext_found >= 3 and ext_found >= formula // 2
             if formula != enum or not bound_ok:
                 violations.append({"n": n, "p": p, "formula": formula,
                                    "enumerated": enum, "bound_ok": bound_ok,

@@ -7,7 +7,9 @@ p'-test.  The fast p'-test is Macdonald's p-power-core criterion, run on
 the beta-set abacus: the e-weight (n - |core_e|) / e equals the number
 of hooks divisible by e (James-Kerber 2.7.40), and |core_e| follows from
 the bead count of each runner alone, so no hook length is built.  The
-valuation computation over all hook lengths is its independent oracle.
+valuation computation over all hook lengths is its independent oracle,
+and the one a CLI path uses: ``ppcd degrees`` reports ``pprime`` from
+``degree_valuation``, and Macdonald's test backs acceptance criterion 1.
 """
 
 from __future__ import annotations

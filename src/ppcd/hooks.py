@@ -9,30 +9,26 @@ digit-sum table is built a power of p at a time, and the test, being
 symmetric in x <-> n - 1 - x, runs on the lower half and is mirrored.
 Their agreement with the closed counting formula
 a_1 * p^{n_1} * prod(a_j + 1) is the main verification target.
-Two public names serve checks, not any CLI path: ``list_pprime_hooks``
-is the filtered set as partitions, for the brute-force test against the
-valuation oracle, and ``quasihook_monotone`` is acceptance criterion 4.
+The public names that no CLI path reaches back named checks; the README
+lists each with its check.
 
 On top of that sit the quasihook degree families (n-c-t, c, 1^t) and
 ``verify_An_bound``, which certifies at least three distinct p'-degrees
 of A_n characters that extend to S_n.  The bound holds for every n >= 7
 and prime p > 3, by a lemma (``_an_bound_case``): with 6 or more
 p'-hooks the short-leg hooks give three degrees, and with fewer,
-n = 1 or 2 (mod p) and two closed-form degrees of (n-2, 2), (n-3, 2, 1)
-or of (n-3, 3), (n-4, 3, 1) join the trivial one.
+n = r (mod p) with r = 1 or 2, and the degrees of legs 0 and 1 of the
+quasihooks with second row r + 1 join the trivial one.
 
-Above the scan bound the extendable sets are the p'-hooks and the
-quasihook witnesses, and these need no partition: with a = n - c - t
-the hook multiset of (a, c, 1^t) is the integer ranges
-{1..a-c} u {a-c+2..a} u {a+t+1} (first row), {1..c-1} u {c+t} (second
-row) and {1..t} (the leg).  As a + t = n - c is fixed, the p'-test of
-every leg is one filter over forward and reversed slices of the tables
-v_p(m) and v_p(m!), and each leg that passes has degree
-n * C(n-1, t) * C(a+c-1, c-1) * (a-c+1) / ((n-c+1)(c+t)), one exact
-division.  For c = 2 the leg t mirrors to the conjugate leg n - 4 - t,
-so the legs below (n - 4)/2 give every degree and skip the
-self-conjugate one; the p'-hooks likewise give every C(n-1, x) from
-the legs x < (n - 1)/2.
+``ext_pprime_degree_set`` is exact up to a scan bound; above it, it is
+the p'-hooks and the quasihook witnesses, which need no partition: the
+hooks of (a, c, 1^t) are integer ranges, so every leg's p'-test is one
+filter over slices of the tables v_p(m) and v_p(m!), and every degree
+one exact division (``_quasihook_witnesses``).  Either set holds the
+floor(h/2) distinct degrees C(n-1, x), x < (n - 1)/2, of the h p'-hooks,
+and the witnesses of ``verify_An_bound``, so ``verify-an`` holds every
+row to one contract: the bound certified and at least max(3, floor(h/2))
+extendable degrees found.
 
 The exact extendable p'-degree sets of A_n are generated from the
 p-core tower: only the p'-partitions of n are visited, as many as the
@@ -105,7 +101,7 @@ def _digit_sums(limit: int, p: int) -> list[int]:
     return s
 
 
-def pprime_hook_xs(n: int, p: int, _sums: list[int] | None = None) -> list[int]:
+def pprime_hook_xs(n: int, p: int) -> list[int]:
     """Leg lengths x with binomial(n-1, x) coprime to p, increasing.
 
     Kummer: the exponent of p in binomial(a+b, a) counts the carries of
@@ -113,16 +109,14 @@ def pprime_hook_xs(n: int, p: int, _sums: list[int] | None = None) -> list[int]:
     add up to that of n-1 with no carry.  The test is symmetric in
     x <-> r - x (r = n - 1), so it runs on x <= r // 2 only, and the
     upper half is the mirror r - x of the hits, without the middle leg
-    x = r / 2 a second time.  ``_sums`` may be longer than n: it is read
-    from index r down.
+    x = r / 2 a second time.
     """
     require_prime(p)
-    if n < 1:
-        raise ValueError(f"expected n >= 1, got {n!r}")
-    s = _digit_sums(n - 1, p) if _sums is None else _sums
+    require_int(n, 1, "expected n >= 1, got {!r}")
     r = n - 1
+    s = _digit_sums(r, p)
     target = s[r]
-    low = [x for x, a, b in zip(range(r // 2 + 1), s, s[r::-1]) if a + b == target]
+    low = [x for x, a, b in zip(range(r // 2 + 1), s, s[::-1]) if a + b == target]
     return low + [r - x for x in reversed(low) if 2 * x != r]
 
 
@@ -140,8 +134,7 @@ def count_pprime_hooks_formula(n: int, p: int) -> int:
     With n = sum a_j p^{n_j} (nonzero digits, increasing exponents) the
     count is a_1 * p^{n_1} * prod_{j >= 2} (a_j + 1).
     """
-    if n < 1:
-        raise ValueError(f"expected n >= 1, got {n!r}")
+    require_int(n, 1, "expected n >= 1, got {!r}")
     digits = p_adic_expansion(n, p)
     a1, e1 = digits[0]
     return a1 * p**e1 * prod(a + 1 for a, _ in digits[1:])
@@ -156,8 +149,7 @@ def count_pprime_partitions_formula(n: int, p: int) -> int:
     m c_m = e * sum_{i=1..m} sigma(i) c_{m-i}, independent of any
     enumeration.
     """
-    if n < 0:
-        raise ValueError(f"expected n >= 0, got {n!r}")
+    require_int(n, 0, "expected n >= 0, got {!r}")
     count = 1
     for a, k in p_adic_expansion(n, p):
         e = p**k
@@ -192,15 +184,14 @@ def _layered_first_parts(n: int, p: int) -> list[int]:
     return firsts
 
 
-def hook_count_row(n: int, p: int, _sums: list[int] | None = None) -> dict:
+def hook_count_row(n: int, p: int) -> dict:
     """Formula vs binomial filter vs layered set of the p'-hooks of n.
 
     The three counts, and an ``ok`` flag meaning all counts and both
-    constructed sets agree.  ``_sums`` is the digit-sum table of
-    ``pprime_hook_xs``, to share across many n.
+    constructed sets agree.
     """
     formula = count_pprime_hooks_formula(n, p)
-    xs = pprime_hook_xs(n, p, _sums)
+    xs = pprime_hook_xs(n, p)
     layered = _layered_first_parts(n, p)
     ok = (
         formula == len(xs) == len(layered)
@@ -215,8 +206,7 @@ def verify_hook_counts(n_max: int, primes: tuple[int, ...]) -> list[dict]:
     rows = []
     for p in primes:
         require_prime(p)
-        sums = _digit_sums(max(n_max - 1, 0), p)
-        rows.extend(hook_count_row(n, p, sums) for n in range(1, n_max + 1))
+        rows.extend(hook_count_row(n, p) for n in range(1, n_max + 1))
     return rows
 
 
@@ -279,8 +269,7 @@ def scan_ext_degree_sets(n: int, primes: tuple[int, ...]) -> dict[int, set[int]]
     primes = tuple(primes)
     for p in primes:
         require_prime(p)
-    if n < 1:
-        raise ValueError(f"expected n >= 1, got {n!r}")
+    require_int(n, 1, "expected n >= 1, got {!r}")
     fact = factorial(n)
     out: dict[int, set[int]] = {}
     for p in primes:
@@ -376,8 +365,7 @@ def filter_ext_degree_sets(n: int, primes: tuple[int, ...]) -> dict[int, set[int
     primes = tuple(primes)
     for p in primes:
         require_prime(p)
-    if n < 1:
-        raise ValueError(f"expected n >= 1, got {n!r}")
+    require_int(n, 1, "expected n >= 1, got {!r}")
     fact = factorial(n)
     # per-hook p-valuations, only for hook lengths that have any
     vtabs = [_valuation_table(n, p) for p in primes]
@@ -413,20 +401,17 @@ def ext_pprime_degree_set(n: int, p: int, *, bound: int = DEFAULT_SCAN_BOUND,
     """Degrees of p'-degree A_n characters that extend to S_n.
 
     Exact for n <= ``bound``, generated from the p-core tower
-    (``scan_ext_degree_sets``); above it, a certified subset built from
-    p'-hooks and the quasihook families, every member re-checked
-    p'-degree before inclusion.  ``_xs`` is ``pprime_hook_xs(n, p)``,
+    (``scan_ext_degree_sets``); above it, the subset certified in
+    closed form: the degrees C(n-1, x) of the p'-hooks and the
+    ``_quasihook_witnesses``.  Either way it holds floor(h/2) distinct
+    hook degrees, h the p'-hook count, and, at n >= 7 and p > 3, the
+    witnesses of ``verify_An_bound``.  ``_xs`` is ``pprime_hook_xs(n, p)``,
     for a caller that already has it.
     """
     require_prime(p)
-    if n < 1:
-        raise ValueError(f"expected n >= 1, got {n!r}")
+    require_int(n, 1, "expected n >= 1, got {!r}")
     if n <= bound:
         return scan_ext_degree_sets(n, (p,))[p]
-    return _constructive_ext_degrees(n, p, _xs)
-
-
-def _constructive_ext_degrees(n: int, p: int, _xs: list[int] | None = None) -> set[int]:
     xs = pprime_hook_xs(n, p) if _xs is None else _xs
     # C(n-1, x) = C(n-1, n-1-x): the lower half, without the self-conjugate hook
     degs = set(map(comb, repeat(n - 1), [x for x in xs if 2 * x < n - 1]))
@@ -515,31 +500,22 @@ def _an_bound_case(n: int, p: int) -> str:
                          f"but is {n % p} mod {p}, not 1 or 2")
 
 
-def _closed_form_pair(n: int, r: int) -> tuple[int, int]:
-    """deg (n-2, 2) and deg (n-3, 2, 1) for r = 1; deg (n-3, 3) and
-    deg (n-4, 3, 1) for r = 2.
-
-    At n = r (mod p) their factors are 1, -2 and 1, -1, -3 (r = 1) or
-    2, 1, -3 and 2, 1, -1, -4 (r = 2) over the denominators 2, 3, 6 and
-    8, so p > 3 divides neither.  All four divisions are exact.
-    """
-    if r == 1:
-        return n * (n - 3) // 2, n * (n - 2) * (n - 4) // 3
-    return n * (n - 1) * (n - 5) // 6, n * (n - 1) * (n - 3) * (n - 6) // 8
-
-
 def verify_An_bound(n: int, p: int, _xs: list[int] | None = None) -> AnBoundResult:
     """Certify >= 3 distinct extendable p'-degrees of A_n (n >= 7, p > 3).
 
     This holds for every such n, by the lemma of ``_an_bound_case``.  With
     at least 6 p'-hooks the short-leg hooks give three distinct degrees.
-    Otherwise n = 1 or 2 (mod p), and the witnesses are 1 and the
-    ``_closed_form_pair`` of that residue.  None of those four
-    partitions is self-conjugate at n >= 7: their conjugates are
-    (2, 2, 1^(n-4)), (3, 2, 1^(n-5)), (2, 2, 2, 1^(n-6)) and
-    (3, 2, 2, 1^(n-7)).  Every witness is re-checked p'-degree and the
-    three distinct, rather than trusted.  ``_xs`` is ``pprime_hook_xs(n, p)``,
-    for a caller that already has it.
+    Otherwise n = r (mod p) with r = 1 or 2, and the witnesses are 1 and
+    the quasihooks (n-c-t, c, 1^t) with c = r + 1 and t = 0, 1, taken
+    from ``_quasihook_degrees``: n(n-3)/2 and n(n-2)(n-4)/3 for r = 1,
+    n(n-1)(n-5)/6 and n(n-1)(n-3)(n-6)/8 for r = 2.  At n = r (mod p)
+    their factors are 1, -2 and 1, -1, -3 (r = 1) or 2, 1, -3 and
+    2, 1, -1, -4 (r = 2) over the denominators 2, 3, 6 and 8, so p > 3
+    divides neither.  None of those four partitions is self-conjugate at
+    n >= 7: their conjugates are (2, 2, 1^(n-4)), (3, 2, 1^(n-5)),
+    (2, 2, 2, 1^(n-6)) and (3, 2, 2, 1^(n-7)).  Every witness is
+    re-checked p'-degree and the three distinct, rather than trusted.
+    ``_xs`` is ``pprime_hook_xs(n, p)``, for a caller that already has it.
     """
     require_int(n, 7, "expected an integer n >= 7, got {!r}")
     require_prime(p)
@@ -556,5 +532,5 @@ def verify_An_bound(n: int, p: int, _xs: list[int] | None = None) -> AnBoundResu
                     break
         return AnBoundResult(len(wits) >= 3, tuple(sorted(wits)), "hook-degrees")
 
-    closed = (1, *_closed_form_pair(n, n % p))
+    closed = (1, *_quasihook_degrees(n, 1 + n % p, (0, 1)))
     return AnBoundResult(len(set(closed)) == 3 and all(d % p for d in closed), closed, case)

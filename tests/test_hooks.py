@@ -1,6 +1,7 @@
 """p'-hook sets, quasihook families, and the A_n degree-set bound."""
 
 import gc
+import json
 import re
 import sys
 import tracemalloc
@@ -15,7 +16,6 @@ from ppcd.degrees import degree, is_pprime_macdonald, is_pprime_oracle
 from ppcd.hooks import (
     DEFAULT_SCAN_BOUND,
     _an_bound_case,
-    _closed_form_pair,
     _core_degrees,
     _layered_first_parts,
     _quasihook_degrees,
@@ -51,6 +51,14 @@ from ppcd.partitions import (
 )
 
 PRIMES = (5, 7, 11, 13)
+
+
+def _closed_form_pair(n, r):
+    """deg (n-2, 2) and deg (n-3, 2, 1) for r = 1; deg (n-3, 3) and
+    deg (n-4, 3, 1) for r = 2."""
+    if r == 1:
+        return n * (n - 3) // 2, n * (n - 2) * (n - 4) // 3
+    return n * (n - 1) * (n - 5) // 6, n * (n - 1) * (n - 3) * (n - 6) // 8
 
 
 class _NullOut:
@@ -144,13 +152,6 @@ class TestFilterOracle:
         sums = _digit_sums_oracle(1999, p)
         for n in range(1, 2001):
             assert pprime_hook_xs(n, p) == _pprime_hook_xs_oracle(n, p, sums), n
-
-    @pytest.mark.parametrize("p", ORACLE_PRIMES)
-    def test_filter_with_longer_shared_table(self, p):
-        # verify_hook_counts passes one table for every n up to n_max
-        shared = hooks_mod._digit_sums(2500, p)
-        for n in range(1, 2001):
-            assert pprime_hook_xs(n, p, shared) == _pprime_hook_xs_oracle(n, p, shared), n
 
 
 class TestCountFormula:
@@ -539,6 +540,11 @@ class TestAnBound:
             verify_An_bound(8, 5)
 
     def test_closed_forms_are_partition_degrees(self):
+        # the witness source of the non-hook cases, legs 0 and 1 of the
+        # quasihooks with second row r + 1, against the closed forms
+        for n in range(7, 5000):
+            for r in (1, 2):
+                assert tuple(_quasihook_degrees(n, r + 1, (0, 1))) == _closed_form_pair(n, r)
         for n in range(7, 201):
             assert _closed_form_pair(n, 1) == (degree(Partition([n - 2, 2])),
                                                degree(Partition([n - 3, 2, 1])))
@@ -576,19 +582,28 @@ class TestAnBound:
         (["verify-an", "--n-max", "30", "--primes", "5,7"], 24 * 2),
     ])
     def test_verify_an_filters_hooks_once_per_pair(self, monkeypatch, argv, pairs):
-        # the list is handed to verify_An_bound and the constructive set,
-        # not filtered again by each
+        # the list is handed to verify_An_bound and the extendable set,
+        # not filtered again by each, and each pair takes its set from one
+        # call, below the exact bound and above it
         calls = Counter()
+        set_calls = Counter()
         real = hooks_mod.pprime_hook_xs
+        real_set = hooks_mod.ext_pprime_degree_set
 
-        def counted(n, p, _sums=None):
+        def counted(n, p):
             calls[n, p] += 1
-            return real(n, p, _sums)
+            return real(n, p)
+
+        def counted_set(n, p, **kwargs):
+            set_calls[n, p] += 1
+            return real_set(n, p, **kwargs)
 
         monkeypatch.setattr(hooks_mod, "pprime_hook_xs", counted)
+        monkeypatch.setattr(hooks_mod, "ext_pprime_degree_set", counted_set)
         monkeypatch.setattr(sys, "stdout", _NullOut())
         assert cli.main(argv) == 0
         assert len(calls) == pairs and set(calls.values()) == {1}
+        assert set_calls == calls
 
     def test_given_hook_list_is_used(self):
         assert verify_An_bound(26, 5, _xs=[]) == verify_An_bound(26, 5)  # not the hooks case
@@ -610,6 +625,22 @@ class TestNegativeControls:
 
     def test_a5_at_p2_has_fewer_than_three_degrees(self):
         assert scan_ext_degree_sets(5, (2,))[2] == filter_ext_degree_sets(5, (2,))[2] == {1, 5}
+
+    def test_constructive_set_without_quasihooks_is_caught(self, monkeypatch, capsys):
+        # the hooks alone miss the bound exactly where n has fewer than six
+        # p'-hooks; at n = 26 = 1 + 5^2 the two hooks leave the set {1}
+        monkeypatch.setattr(hooks_mod, "_quasihook_witnesses", lambda n, p, c: set())
+        assert cli.main(["verify-an", "--n-max", "31", "--primes", "5",
+                         "--exact-bound", "0"]) == 2
+        out, err = capsys.readouterr()
+        rows = {int(n): (int(found), ok) for n, _, _, _, found, ok in
+                (line.split(",") for line in out.splitlines())}
+        failing = [n for n, (_, ok) in rows.items() if ok == "false"]
+        assert failing == [n for n in range(7, 32) if _an_bound_case(n, 5) != "hooks"]
+        assert failing == [7, 11, 16, 21, 26, 27, 31]
+        assert rows[26] == (1, "false")
+        record = json.loads(err)
+        assert record["first"]["n"] == 7 and record["total"] == 7
 
     @pytest.mark.parametrize("p", PRIMES)
     def test_mutated_hook_count_is_caught(self, p):
@@ -639,6 +670,7 @@ class TestNegativeControls:
 # the first precondition each entry point checks, with its exact message
 _PRECONDITIONS = [
     (pprime_hook_xs, (0, 5), "expected n >= 1, got 0"),
+    (count_pprime_hooks_formula, (True, 5), "expected n >= 1, got True"),
     (hooks_mod.count_pprime_partitions_formula, (-1, 5), "expected n >= 0, got -1"),
     (quasihook_monotone, (10, 4, 0), "second row must be 2 or 3, got 4"),
     (scan_ext_degree_sets, (0, (5,)), "expected n >= 1, got 0"),
