@@ -147,6 +147,10 @@ CORPUS: list[list[str]] = [
       for primes in ("5,4", "7,3") for bound in ((), ("--exact-bound", "0"))),
     ["verify-an", "--n-max", "12", "--primes", "5", "--exact-bound", "-1"],
     ["verify-an", "--n-max", "8", "--primes", "5,5"],
+    # the 2A rows past rank 20 (exit 2, the first violation at n = 13,
+    # q = 11, p = 5), in both formats
+    *(["verify-lie", "--families", "2A", "--q-max", "64", "--p-max", "97", "--rank-max", "40",
+       *fmt] for fmt in ((), ("--format", "json"))),
 ]
 
 
