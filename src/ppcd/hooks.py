@@ -18,7 +18,8 @@ of A_n characters that extend to S_n.  The bound holds for every n >= 7
 and prime p > 3, by a lemma (``_an_bound_case``): with 6 or more
 p'-hooks the short-leg hooks give three degrees, and with fewer,
 n = r (mod p) with r = 1 or 2, and the degrees of legs 0 and 1 of the
-quasihooks with second row r + 1 join the trivial one.
+quasihooks with second row r + 1 join the trivial one.  Whatever the
+case, the three witnesses are re-checked distinct and prime to p.
 
 ``ext_pprime_degree_set`` is exact up to a scan bound; above it, it is
 the p'-hooks and the quasihook witnesses, which need no partition: the
@@ -37,9 +38,10 @@ of them is built.  Each is a p^k-core mu and a quotient, at most a bead
 moves away on mu's abacus, and of each conjugate pair one member is visited,
 picked by its core and its quotient index (``_pprime_pair_cores``).
 Its degree is n!/H(mu) times one Frobenius ratio per moved bead and one
-per pair of moved beads (``_core_degrees``).  The full scan survives as
-``filter_ext_degree_sets``, the oracle the generated sets are tested
-against.
+per pair of moved beads (``_core_degrees``).  The oracle the generated
+sets are tested against, ``filter_ext_degree_sets``, is the definition:
+``degree`` of every partition of n that is not self-conjugate, kept per
+prime p that does not divide it.
 """
 
 from __future__ import annotations
@@ -50,15 +52,15 @@ from math import comb, factorial, gcd, prod
 from operator import add, sub
 from typing import Iterator
 
-from .degrees import degree, factorial_valuation, hook_degree
+from .degrees import degree, hook_degree
 from .partitions import (
     Partition,
     _abacus,
-    _conjugate_parts,
     _hook_lengths,
     _partition_tuples,
     _pprime_pair_cores,
     hook_partition,
+    is_self_conjugate,
     p_adic_expansion,
     require_int,
     require_prime,
@@ -355,45 +357,20 @@ def _bead_moves(mu: tuple[int, ...], e: int, a: int) -> dict:
 
 
 def filter_ext_degree_sets(n: int, primes: tuple[int, ...]) -> dict[int, set[int]]:
-    """Full-scan oracle for scan_ext_degree_sets, one pass per n.
+    """Full-scan oracle for scan_ext_degree_sets: the definition itself.
 
-    Visits every partition of n and keeps those whose summed hook
-    valuations show p'-degree and with lam != lam'.  Kept only as the
-    reference the p-core-tower sets are tested against, like
-    ``e_core_by_removal`` for the abacus core.
+    The ``degree`` of every partition lam of n with lam != lam' (each
+    hook-length division checked exact), kept for every prime given that
+    does not divide it.  Kept only as the reference the p-core-tower sets
+    are tested against, like ``e_core_by_removal`` for the abacus core.
     """
     primes = tuple(primes)
     for p in primes:
         require_prime(p)
     require_int(n, 1, "expected n >= 1, got {!r}")
-    fact = factorial(n)
-    # per-hook p-valuations, only for hook lengths that have any
-    vtabs = [_valuation_table(n, p) for p in primes]
-    nonzero: list[tuple[tuple[int, int], ...]] = [()] * (n + 1)
-    for h in range(2, n + 1):
-        entries = tuple(
-            (idx, vtabs[idx][h]) for idx in range(len(primes)) if vtabs[idx][h]
-        )
-        nonzero[h] = entries
-    fact_vals = [factorial_valuation(n, p) for p in primes]
-    out: dict[int, set[int]] = {p: set() for p in primes}
-    k = len(primes)
-    for parts in _partition_tuples(n):
-        conj = _conjugate_parts(parts)
-        if conj == parts:
-            continue
-        hooks = _hook_lengths(parts, conj)
-        vals = [0] * k
-        for h in hooks:
-            for idx, v in nonzero[h]:
-                vals[idx] += v
-        deg = None
-        for idx in range(k):
-            if vals[idx] == fact_vals[idx]:
-                if deg is None:
-                    deg = fact // prod(hooks)
-                out[primes[idx]].add(deg)
-    return out
+    lams = map(Partition._from_valid, _partition_tuples(n), repeat(n))
+    degs = {degree(lam) for lam in lams if not is_self_conjugate(lam)}
+    return {p: {d for d in degs if d % p} for p in primes}
 
 
 def ext_pprime_degree_set(n: int, p: int, *, bound: int = DEFAULT_SCAN_BOUND,
@@ -513,24 +490,24 @@ def verify_An_bound(n: int, p: int, _xs: list[int] | None = None) -> AnBoundResu
     2, 1, -1, -4 (r = 2) over the denominators 2, 3, 6 and 8, so p > 3
     divides neither.  None of those four partitions is self-conjugate at
     n >= 7: their conjugates are (2, 2, 1^(n-4)), (3, 2, 1^(n-5)),
-    (2, 2, 2, 1^(n-6)) and (3, 2, 2, 1^(n-7)).  Every witness is
-    re-checked p'-degree and the three distinct, rather than trusted.
-    ``_xs`` is ``pprime_hook_xs(n, p)``, for a caller that already has it.
+    (2, 2, 2, 1^(n-6)) and (3, 2, 2, 1^(n-7)).  The hook witnesses are
+    C(n-1, x) for the first three legs, less any with 2x >= n - 1
+    (none, when the legs are those of ``pprime_hook_xs``, since with 6 or
+    more p'-hooks at least 3 lie in the lower half).  One rule judges
+    the witnesses of every case, rather than trusting them: three, all
+    distinct, none divisible by p.  ``_xs`` is ``pprime_hook_xs(n, p)``,
+    for a caller that already has it.
     """
     require_int(n, 7, "expected an integer n >= 7, got {!r}")
     require_prime(p)
     if p <= 3:
         raise ValueError(f"expected a prime p > 3, got {p}")
 
-    case = _an_bound_case(n, p)
-    if case == "hooks":
-        wits: set[int] = set()
-        for x in pprime_hook_xs(n, p) if _xs is None else _xs:
-            if 2 * x < n - 1:
-                wits.add(hook_degree(n, x))
-                if len(wits) == 3:
-                    break
-        return AnBoundResult(len(wits) >= 3, tuple(sorted(wits)), "hook-degrees")
-
-    closed = (1, *_quasihook_degrees(n, 1 + n % p, (0, 1)))
-    return AnBoundResult(len(set(closed)) == 3 and all(d % p for d in closed), closed, case)
+    method = _an_bound_case(n, p)
+    if method == "hooks":
+        xs = pprime_hook_xs(n, p) if _xs is None else _xs
+        wits = tuple(hook_degree(n, x) for x in xs[:3] if 2 * x < n - 1)
+        method = "hook-degrees"
+    else:
+        wits = (1, *_quasihook_degrees(n, 1 + n % p, (0, 1)))
+    return AnBoundResult(len(set(wits)) == 3 and all(d % p for d in wits), wits, method)

@@ -197,8 +197,9 @@ def semisimple_degree(n: int, eps: int, q: int, r: int | None, c: CentralizerSpe
 # -- classical-family unipotent degree pairs ---------------------------------
 #
 # For each classical family two specific low unipotent characters are
-# carried, as q'-parts of their degrees.  The twisted-A entries resolve
-# the parity-dependent signs at construction time.  The rows with a
+# carried, as q'-parts of their degrees.  The twisted-A pair is the A
+# pair under Ennola duality (q -> -q): each factor q^m - 1 becomes
+# q^m - (-1)^m, so the parity of m picks the sign.  The rows with a
 # bare 1/2 scalar (B/C, the rank-4 D row, and the even-q B2 row) are
 # integral only for odd q; they are evaluated as written, to exact
 # rationals.
@@ -228,11 +229,6 @@ def classical_family_rank_range(family: str) -> tuple[int, int | None]:
     return _CLASSICAL_RANK_RANGES[fam]
 
 
-def _parity_sign(k: int) -> int:
-    """s with q^k - s = q^k - (-1)^k."""
-    return 1 if k % 2 == 0 else -1
-
-
 def classical_unipotent_pair(family: str, n: int) -> tuple[DegreeFormula, DegreeFormula]:
     """The two carried unipotent q'-degree formulas for a classical family.
 
@@ -246,20 +242,13 @@ def classical_unipotent_pair(family: str, n: int) -> tuple[DegreeFormula, Degree
     if n < lo or (hi is not None and n > hi):
         raise ValueError(f"rank {n} out of range for family {family!r}")
     half = Fraction(1, 2)
-    if fam == "A":
-        f1 = DegreeFormula(factors=((n - 1, 1),), denominator_factors=((1, 1),))
+    if fam in ("A", "2A"):
+        # each factor q^m - eps^m: eps = 1 for A, and -1 for 2A by Ennola
+        eps = 1 if fam == "A" else -1
+        f1 = DegreeFormula(factors=((n - 1, eps ** (n - 1)),), denominator_factors=((1, eps),))
         f2 = DegreeFormula(
-            factors=((n, 1), (n - 3, 1)),
-            denominator_factors=((1, 1), (2, 1)),
-        )
-    elif fam == "2A":
-        f1 = DegreeFormula(
-            factors=((n - 1, _parity_sign(n - 1)),),
-            denominator_factors=((1, -1),),
-        )
-        f2 = DegreeFormula(
-            factors=((n, _parity_sign(n)), (n - 3, _parity_sign(n - 3))),
-            denominator_factors=((1, -1), (2, 1)),
+            factors=((n, eps**n), (n - 3, eps ** (n - 3))),
+            denominator_factors=((1, eps), (2, eps**2)),
         )
     elif fam == "B":
         f1 = DegreeFormula(

@@ -626,6 +626,29 @@ class TestNegativeControls:
     def test_a5_at_p2_has_fewer_than_three_degrees(self):
         assert scan_ext_degree_sets(5, (2,))[2] == filter_ext_degree_sets(5, (2,))[2] == {1, 5}
 
+    def test_hook_legs_with_degrees_divisible_by_p_fail(self):
+        # legs 0, 3 and 4 at n = 33: C(32, 3) = 4960 and C(32, 4) = 35960
+        # are multiples of 5, so the given leg list certifies nothing
+        result = verify_An_bound(33, 5, _xs=[0, 3, 4])
+        assert result.witnesses == (1, 4960, 35960) and not result.ok
+        assert not verify_An_bound(10, 5, _xs=[0, 0, 1]).ok  # a repeated leg
+
+    @pytest.mark.parametrize("n, witnesses", [(26, (5, 7)), (27, (1, 7))])
+    def test_quasihook_witnesses_meet_the_same_rule(self, monkeypatch, n, witnesses):
+        # the 1-mod-p and 2-mod-p cases: a witness divisible by p, or one
+        # equal to the trivial degree, fails
+        monkeypatch.setattr(hooks_mod, "_quasihook_degrees", lambda n, c, legs: witnesses)
+        result = verify_An_bound(n, 5)
+        assert result.method == f"{n % 5}-mod-p" and not result.ok
+
+    @pytest.mark.parametrize("n", range(5, 21))
+    def test_generated_sets_missing_a_degree_are_caught(self, monkeypatch, n):
+        # the oracle comparison fails once the last degree of every core
+        # is dropped
+        real = hooks_mod._core_degrees
+        monkeypatch.setattr(hooks_mod, "_core_degrees", lambda *args: list(real(*args))[:-1])
+        assert scan_ext_degree_sets(n, PRIMES) != filter_ext_degree_sets(n, PRIMES)
+
     def test_constructive_set_without_quasihooks_is_caught(self, monkeypatch, capsys):
         # the hooks alone miss the bound exactly where n has fewer than six
         # p'-hooks; at n = 26 = 1 + 5^2 the two hooks leave the set {1}

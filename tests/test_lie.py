@@ -164,6 +164,17 @@ class TestClassicalRows:
         assert f1.evaluate_rational(q) == Fraction(q**3 + 1, q + 1)
         assert f2.evaluate_rational(q) == Fraction((q**4 - 1) * (q + 1), (q + 1) * (q**2 - 1))
 
+    def test_twisted_rows_closed_forms(self):
+        # the A pair under Ennola duality: q^m - 1 read as q^m - (-1)^m
+        for n in range(4, 13):
+            f1, f2 = classical_unipotent_pair("2A", n)
+            for q in (2, 3, 4, 5, 7, 8, 9):
+                assert f1.evaluate_rational(q) == Fraction(q ** (n - 1) - (-1) ** (n - 1), q + 1)
+                assert f2.evaluate_rational(q) == Fraction(
+                    (q**n - (-1) ** n) * (q ** (n - 3) - (-1) ** (n - 3)),
+                    (q + 1) * (q**2 - 1),
+                ), (n, q)
+
     def test_d_rows(self):
         f1, f2 = classical_unipotent_pair("D", 5)
         q = 2
