@@ -157,10 +157,9 @@ def cmd_verify_an(args, out) -> int:
     for n in range(7, args.n_max + 1):
         for p in primes:
             formula = hooks_mod.count_pprime_hooks_formula(n, p)
-            xs = hooks_mod.pprime_hook_xs(n, p)
-            enum = len(xs)
-            result = hooks_mod.verify_An_bound(n, p, _xs=xs)
-            ext_found = len(hooks_mod.ext_pprime_degree_set(n, p, bound=args.exact_bound, _xs=xs))
+            enum = len(hooks_mod.pprime_hook_xs(n, p))
+            result = hooks_mod.verify_An_bound(n, p)
+            ext_found = len(hooks_mod.ext_pprime_degree_set(n, p, bound=args.exact_bound))
             bound_ok = result.ok and ext_found >= 3 and ext_found >= formula // 2
             if formula != enum or not bound_ok:
                 violations.append({"n": n, "p": p, "formula": formula,

@@ -17,7 +17,7 @@ from __future__ import annotations
 from math import comb, factorial, prod
 from operator import add, mul
 
-from .partitions import Partition, _hook_lengths, require_prime
+from .partitions import Partition, _hook_lengths, _top_term, require_int, require_prime
 
 __all__ = [
     "binomial_coprime_lucas",
@@ -33,8 +33,7 @@ __all__ = [
 
 def int_valuation(m: int, p: int) -> int:
     """Largest v with p^v dividing m (m >= 1)."""
-    if m < 1:
-        raise ValueError(f"valuation needs a positive integer, got {m!r}")
+    require_int(m, 1, "valuation needs a positive integer, got {!r}")
     v = 0
     while m % p == 0:
         m //= p
@@ -110,9 +109,7 @@ def is_pprime_macdonald(lam: Partition, p: int) -> bool:
         return True
     parts = lam.parts
     ell = len(parts)
-    e = p
-    while e * p <= n:
-        e *= p
+    e = _top_term(n, p)[0]
     counts = [0] * e
     for b in map(add, parts, range(ell - 1, -1, -1)):
         counts[b % e] += 1
@@ -133,7 +130,7 @@ def binomial_coprime_lucas(n: int, k: int, p: int) -> bool:
     """Lucas test: p does not divide binomial(n, k) iff every base-p
     digit of k is at most the matching digit of n.
 
-    Backs the Lucas check against the Kummer filter in ``pprime_hook_xs``.
+    Backs the Lucas check against the Legendre filter in ``pprime_hook_xs``.
     """
     require_prime(p)
     if not (0 <= k <= n):

@@ -1,12 +1,12 @@
 """Hook partitions of p'-degree and the alternating-group degree bound.
 
 The set of p'-degree hooks of n is built two independent ways: by
-filtering binomial coefficients with Kummer digit sums
+filtering binomial coefficients with Legendre's formula
 (``pprime_hook_xs``), and by the layered construction that adds top
 p-power hooks to the row and column of each smaller member
-(``_layered_first_parts``).  The filter tests every leg length: its
-digit-sum table is built a power of p at a time, and the test, being
-symmetric in x <-> n - 1 - x, runs on the lower half and is mirrored.
+(``_layered_first_parts``).  The filter tests every leg length on
+the one base-p table here, L[m] = v_p(m!), and the test, symmetric in
+x <-> n - 1 - x, runs on the lower half (``_lower_legs``), mirrored.
 Their agreement with the closed counting formula
 a_1 * p^{n_1} * prod(a_j + 1) is the main verification target.
 The public names that no CLI path reaches back named checks; the README
@@ -25,8 +25,9 @@ case, the three witnesses are re-checked distinct and prime to p.
 the p'-hooks and the quasihook witnesses, which need no partition: the
 hooks of (a, c, 1^t) are integer ranges, so every leg's p'-test is one
 filter over slices of the tables v_p(m) and v_p(m!), and every degree
-one exact division (``_quasihook_witnesses``).  Either set holds the
-floor(h/2) distinct degrees C(n-1, x), x < (n - 1)/2, of the h p'-hooks,
+one exact division (``_quasihook_witnesses``); the hook legs are
+filtered on the same v_p(m!).  Either set holds the floor(h/2)
+distinct degrees C(n-1, x), x < (n - 1)/2, of the h p'-hooks,
 and the witnesses of ``verify_An_bound``, so ``verify-an`` holds every
 row to one contract: the bound certified and at least max(3, floor(h/2))
 extendable degrees found.
@@ -87,38 +88,37 @@ __all__ = [
 DEFAULT_SCAN_BOUND = 40
 
 
-def _digit_sums(limit: int, p: int) -> list[int]:
-    """s[i] = sum of base-p digits of i, for 0 <= i <= limit.
+def _valuation_table(limit: int, p: int) -> list[int]:
+    """V[m] = v_p(m), m <= limit (V[0] = 0); L[m] = v_p(m!) is its running sum."""
+    tab = [0] * (limit + 1)
+    for i in range(p, limit + 1, p):
+        tab[i] = tab[i // p] + 1
+    return tab
 
-    Built a power of p at a time: with s the table of the p^k numbers
-    below p^k, d p^k + j (d < p, j < p^k) has digit sum d + s[j], so the
-    next table is s shifted by d for each d < p up to limit // p^k, cut
-    to limit + 1 entries once it covers limit.  The seed is the
-    one-digit numbers.
+
+def _lower_legs(r: int, L: list[int]) -> list[int]:
+    """Legs x <= r // 2 with binomial(r, x) prime to p, increasing.
+
+    L[m] = v_p(m!) for m <= r, so by Legendre v_p(binomial(r, x)) is
+    L[r] - L[x] - L[r-x] (Kummer's count of carries), and x passes iff
+    L[x] + L[r-x] == L[r].
     """
-    s = list(range(min(p, limit + 1)))
-    while len(s) <= limit:
-        s = [d + v for d in range(min(p, limit // len(s) + 1)) for v in s]
-    del s[limit + 1:]
-    return s
+    target = L[r]
+    return [x for x, a, b in zip(range(r // 2 + 1), L, L[r::-1]) if a + b == target]
 
 
 def pprime_hook_xs(n: int, p: int) -> list[int]:
     """Leg lengths x with binomial(n-1, x) coprime to p, increasing.
 
-    Kummer: the exponent of p in binomial(a+b, a) counts the carries of
-    a + b in base p, so x qualifies iff the digit sums of x and n-1-x
-    add up to that of n-1 with no carry.  The test is symmetric in
-    x <-> r - x (r = n - 1), so it runs on x <= r // 2 only, and the
-    upper half is the mirror r - x of the hits, without the middle leg
-    x = r / 2 a second time.
+    The test of ``_lower_legs`` on the table L[m] = v_p(m!), m <= n - 1.
+    It is symmetric in x <-> r - x (r = n - 1), so it runs on x <= r // 2
+    only, and the upper half is the mirror r - x of the hits, without
+    the middle leg x = r / 2 a second time.
     """
     require_prime(p)
     require_int(n, 1, "expected n >= 1, got {!r}")
     r = n - 1
-    s = _digit_sums(r, p)
-    target = s[r]
-    low = [x for x, a, b in zip(range(r // 2 + 1), s, s[::-1]) if a + b == target]
+    low = _lower_legs(r, list(accumulate(_valuation_table(r, p))))
     return low + [r - x for x in reversed(low) if 2 * x != r]
 
 
@@ -239,13 +239,6 @@ def quasihook_monotone(n: int, c: int, t: int) -> bool:
     if n < 4 + c or not (0 <= t <= (n - 4 - c) // 2):
         raise ValueError(f"leg length {t} out of monotone range for (n, c) = ({n}, {c})")
     return degree(quasihook(n, c, t)) < degree(quasihook(n, c, t + 1))
-
-
-def _valuation_table(limit: int, p: int) -> list[int]:
-    tab = [0] * (limit + 1)
-    for i in range(p, limit + 1, p):
-        tab[i] = tab[i // p] + 1
-    return tab
 
 
 def scan_ext_degree_sets(n: int, primes: tuple[int, ...]) -> dict[int, set[int]]:
@@ -373,28 +366,28 @@ def filter_ext_degree_sets(n: int, primes: tuple[int, ...]) -> dict[int, set[int
     return {p: {d for d in degs if d % p} for p in primes}
 
 
-def ext_pprime_degree_set(n: int, p: int, *, bound: int = DEFAULT_SCAN_BOUND,
-                          _xs: list[int] | None = None) -> set[int]:
+def ext_pprime_degree_set(n: int, p: int, *, bound: int = DEFAULT_SCAN_BOUND) -> set[int]:
     """Degrees of p'-degree A_n characters that extend to S_n.
 
     Exact for n <= ``bound``, generated from the p-core tower
     (``scan_ext_degree_sets``); above it, the subset certified in
-    closed form: the degrees C(n-1, x) of the p'-hooks and the
-    ``_quasihook_witnesses``.  Either way it holds floor(h/2) distinct
-    hook degrees, h the p'-hook count, and, at n >= 7 and p > 3, the
-    witnesses of ``verify_An_bound``.  ``_xs`` is ``pprime_hook_xs(n, p)``,
-    for a caller that already has it.
+    closed form from the tables V[m] = v_p(m) and L[m] = v_p(m!), m <= n:
+    the degrees C(n-1, x) of the p'-hooks that pass ``_lower_legs`` on L,
+    and the ``_quasihook_witnesses``.  Either way it holds floor(h/2)
+    distinct hook degrees, h the p'-hook count, and, at n >= 7 and p > 3,
+    the witnesses of ``verify_An_bound``.
     """
     require_prime(p)
     require_int(n, 1, "expected n >= 1, got {!r}")
     if n <= bound:
         return scan_ext_degree_sets(n, (p,))[p]
-    xs = pprime_hook_xs(n, p) if _xs is None else _xs
+    V = _valuation_table(n, p)
+    L = list(accumulate(V))
     # C(n-1, x) = C(n-1, n-1-x): the lower half, without the self-conjugate hook
-    degs = set(map(comb, repeat(n - 1), [x for x in xs if 2 * x < n - 1]))
+    degs = set(map(comb, repeat(n - 1), [x for x in _lower_legs(n - 1, L) if 2 * x < n - 1]))
     for c in (2, 3):
         if n >= 4 + c:
-            degs |= _quasihook_witnesses(n, p, c)
+            degs |= _quasihook_witnesses(n, V, L, c)
     return degs
 
 
@@ -412,9 +405,10 @@ class AnBoundResult:
     method: str
 
 
-def _quasihook_witnesses(n: int, p: int, c: int) -> set[int]:
+def _quasihook_witnesses(n: int, V: list[int], L: list[int], c: int) -> set[int]:
     """Degrees of the p'-degree, non-self-conjugate quasihooks
-    (n-c-t, c, 1^t), c in {2, 3} and n >= 4 + c.
+    (n-c-t, c, 1^t), c in {2, 3} and n >= 4 + c, given the tables
+    V[m] = v_p(m) and L[m] = v_p(m!) for m <= n.
 
     No partition is built.  With a = n - c - t the hook lengths are
     {1..a-c} u {a-c+2..a} u {a+t+1} in the first row, {1..c-1} u {c+t}
@@ -429,8 +423,6 @@ def _quasihook_witnesses(n: int, p: int, c: int) -> set[int]:
     every degree, and the self-conjugate leg t = (n-4)/2 lies outside
     them.
     """
-    V = _valuation_table(n, p)
-    L = list(accumulate(V))
     v0 = L[n] - V[n - c + 1] - L[c - 1]
     top = (n - 5) // 2 if c == 2 else n - 2 * c
     # la = L[a], lt = L[t], vb = V[a-c+1], vc = V[c+t] at a = n - c - t
@@ -477,11 +469,20 @@ def _an_bound_case(n: int, p: int) -> str:
                          f"but is {n % p} mod {p}, not 1 or 2")
 
 
-def verify_An_bound(n: int, p: int, _xs: list[int] | None = None) -> AnBoundResult:
+def verify_An_bound(n: int, p: int) -> AnBoundResult:
     """Certify >= 3 distinct extendable p'-degrees of A_n (n >= 7, p > 3).
 
     This holds for every such n, by the lemma of ``_an_bound_case``.  With
-    at least 6 p'-hooks the short-leg hooks give three distinct degrees.
+    at least 6 p'-hooks the hooks of the three smallest p'-legs 0 < x1 <
+    x2 give three distinct degrees C(n-1, x), read off the base-p digits
+    of n - 1 with no table built.  By Lucas, x is a p'-leg iff no digit
+    of x exceeds that of n - 1 in its place.  With a the lowest nonzero
+    digit of n - 1, at place e, x1 = p^e: a smaller x > 0 has a nonzero
+    digit below e.  If a > 1, x2 = 2 p^e, as the x between have a nonzero
+    digit below e.  If a = 1, x2 = p^e' with e' the place of the next
+    nonzero digit (there is one, a lone digit 1 gives 2 p'-hooks).  The
+    legs are closed under x <-> n - 1 - x, so of h >= 6 sorted legs the
+    i-th has 2x < n - 1 for i < (h - 1)/2, hence for i <= 2.
     Otherwise n = r (mod p) with r = 1 or 2, and the witnesses are 1 and
     the quasihooks (n-c-t, c, 1^t) with c = r + 1 and t = 0, 1, taken
     from ``_quasihook_degrees``: n(n-3)/2 and n(n-2)(n-4)/3 for r = 1,
@@ -490,13 +491,10 @@ def verify_An_bound(n: int, p: int, _xs: list[int] | None = None) -> AnBoundResu
     2, 1, -1, -4 (r = 2) over the denominators 2, 3, 6 and 8, so p > 3
     divides neither.  None of those four partitions is self-conjugate at
     n >= 7: their conjugates are (2, 2, 1^(n-4)), (3, 2, 1^(n-5)),
-    (2, 2, 2, 1^(n-6)) and (3, 2, 2, 1^(n-7)).  The hook witnesses are
-    C(n-1, x) for the first three legs, less any with 2x >= n - 1
-    (none, when the legs are those of ``pprime_hook_xs``, since with 6 or
-    more p'-hooks at least 3 lie in the lower half).  One rule judges
-    the witnesses of every case, rather than trusting them: three, all
-    distinct, none divisible by p.  ``_xs`` is ``pprime_hook_xs(n, p)``,
-    for a caller that already has it.
+    (2, 2, 2, 1^(n-6)) and (3, 2, 2, 1^(n-7)).  Hook legs with
+    2x >= n - 1 (none, by the above) are dropped.  One rule judges the
+    witnesses of every case, rather than trusting them: three, all
+    distinct, none divisible by p.
     """
     require_int(n, 7, "expected an integer n >= 7, got {!r}")
     require_prime(p)
@@ -505,8 +503,10 @@ def verify_An_bound(n: int, p: int, _xs: list[int] | None = None) -> AnBoundResu
 
     method = _an_bound_case(n, p)
     if method == "hooks":
-        xs = pprime_hook_xs(n, p) if _xs is None else _xs
-        wits = tuple(hook_degree(n, x) for x in xs[:3] if 2 * x < n - 1)
+        (a, e), *rest = p_adic_expansion(n - 1, p)
+        x1 = p**e
+        x2 = 2 * x1 if a > 1 else p ** rest[0][1]
+        wits = tuple(hook_degree(n, x) for x in (0, x1, x2) if 2 * x < n - 1)
         method = "hook-degrees"
     else:
         wits = (1, *_quasihook_degrees(n, 1 + n % p, (0, 1)))

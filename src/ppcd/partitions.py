@@ -3,7 +3,7 @@
 Everything here is exact integer combinatorics: conjugation, hook
 lengths, e-cores, base-p digit expansions, deterministic enumeration of
 partitions, and the hook partitions (n - x, 1^x) from which ``hooks``
-builds both p'-hook sets (the Kummer filter and ``_layered_first_parts``).
+builds both p'-hook sets (the Legendre filter and ``_layered_first_parts``).
 
 e-cores are computed on a beta-set abacus (push every bead to the top
 of its runner), which is order-independent by construction and runs in
@@ -176,10 +176,9 @@ def is_self_conjugate(lam: Partition) -> bool:
     return parts == _conjugate_parts(parts)
 
 
-def _hook_lengths(parts: tuple[int, ...], conj: tuple[int, ...] | None = None) -> list[int]:
+def _hook_lengths(parts: tuple[int, ...]) -> list[int]:
     """All hook lengths in row-major node order (internal, unsorted)."""
-    if conj is None:
-        conj = _conjugate_parts(parts)
+    conj = _conjugate_parts(parts)
     hooks = []
     append = hooks.append
     for i, v in enumerate(parts):

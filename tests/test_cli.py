@@ -120,7 +120,7 @@ class TestVerifyAn:
         from ppcd.hooks import AnBoundResult
 
         monkeypatch.setattr(cli.hooks_mod, "verify_An_bound",
-                            lambda n, p, _xs=None: AnBoundResult(False, (), "forced"))
+                            lambda n, p: AnBoundResult(False, (), "forced"))
         code, out, err = run(capsys, "verify-an", "--n-max", "8", "--primes", "5")
         assert code == 2
         record = json.loads(err)

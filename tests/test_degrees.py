@@ -65,6 +65,8 @@ class TestValuations:
         assert int_valuation(7, 2) == 0
         with pytest.raises(ValueError):
             int_valuation(0, 2)
+        with pytest.raises(ValueError, match=r"^valuation needs a positive integer, got True$"):
+            int_valuation(True, 2)
 
     def test_factorial_valuation_against_factorial(self):
         for n in (0, 1, 5, 24, 25, 100):

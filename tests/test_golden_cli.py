@@ -109,7 +109,7 @@ CORPUS: list[list[str]] = [
     ["verify-an", "--n-max", "42", "--primes", "5"],
     # the symmetric filter: the largest hooks list of the queries corpus,
     # r = n - 1 odd (no middle leg) and even (middle leg x = r/2), p > n;
-    # every x qualifying at r = 13^3 - 1, and the digit-sum table crossing
+    # every x qualifying at r = 13^3 - 1, and the v_p(m!) table crossing
     # a power of p at r = 13^3
     ["hooks", "--n", "1352", "--p", "13"],
     ["hooks", "--n", "2", "--p", "2"],

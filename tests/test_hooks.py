@@ -6,13 +6,14 @@ import re
 import sys
 import tracemalloc
 from collections import Counter
+from itertools import accumulate
 from math import comb, factorial, prod
 
 import pytest
 
 from ppcd import cli, lie
 from ppcd import hooks as hooks_mod
-from ppcd.degrees import degree, is_pprime_macdonald, is_pprime_oracle
+from ppcd.degrees import degree, factorial_valuation, is_pprime_macdonald, is_pprime_oracle
 from ppcd.hooks import (
     DEFAULT_SCAN_BOUND,
     _an_bound_case,
@@ -85,6 +86,13 @@ def _pprime_hook_xs_oracle(n, p, sums):
     return [x for x in range(n) if sums[x] + sums[r - x] == sums[r]]
 
 
+def _witnesses(n, p, c):
+    """``_quasihook_witnesses`` on the row tables V[m] = v_p(m) and
+    L[m] = v_p(m!), m <= n, that ``ext_pprime_degree_set`` builds."""
+    V = hooks_mod._valuation_table(n, p)
+    return _quasihook_witnesses(n, V, list(accumulate(V)), c)
+
+
 def _layered_hooks(n, p):
     """The layered p'-hook set as partitions, by increasing leg length."""
     return [hook_partition(n, n - m) for m in reversed(_layered_first_parts(n, p))]
@@ -137,15 +145,21 @@ ORACLE_PRIMES = (2, 3, 5, 7, 11, 13, 2003)
 class TestFilterOracle:
     @pytest.mark.parametrize("p", ORACLE_PRIMES)
     def test_digit_sums_at_powers(self, p):
+        # L, the running sum of the v_p table that the filter reads, is
+        # v_p(m!) for every m, so by Legendre m - (p - 1) L[m] is the
+        # base-p digit sum of m
         limit_max = 30_000
-        oracle = _digit_sums_oracle(limit_max + 1, p)
+        oracle = [factorial_valuation(m, p) for m in range(limit_max + 1)]
+        sums = _digit_sums_oracle(limit_max, p)
         limits = {0, 1, 2, limit_max}
         power = 1
         while power <= limit_max:
             limits.update((power - 1, power, power + 1))
             power *= p
         for limit in sorted(limits):
-            assert hooks_mod._digit_sums(limit, p) == oracle[:limit + 1], limit
+            L = list(accumulate(hooks_mod._valuation_table(limit, p)))
+            assert L == oracle[:limit + 1], limit
+            assert [m - (p - 1) * v for m, v in enumerate(L)] == sums[:limit + 1], limit
 
     @pytest.mark.parametrize("p", ORACLE_PRIMES)
     def test_filter_matches_full_range(self, p):
@@ -287,13 +301,24 @@ class TestQuasihookWitnesses:
     def test_an_certified_grid(self, p):
         for n in range(7, 101):
             for c in (2, 3):
-                assert _quasihook_witnesses(n, p, c) == _quasihook_witnesses_oracle(n, p, c)
+                assert _witnesses(n, p, c) == _quasihook_witnesses_oracle(n, p, c)
 
     @pytest.mark.parametrize("p", [2, 3, 17])
     def test_constructive_sets(self, p, monkeypatch):
+        # the set's own call, on its row tables, swapped for the loop:
+        # c = 2 from n = 6 and c = 3 from n = 7, so 55 + 54 calls
         closed = [ext_pprime_degree_set(n, p, bound=0) for n in range(1, 61)]
-        monkeypatch.setattr(hooks_mod, "_quasihook_witnesses", _quasihook_witnesses_oracle)
+        calls = Counter()
+
+        def oracle(n, V, L, c):
+            calls[c] += 1
+            # L = v_p(m!), m <= n, and V its differences v_p(m)
+            assert L == list(accumulate(V)) == [factorial_valuation(m, p) for m in range(n + 1)]
+            return _quasihook_witnesses_oracle(n, p, c)
+
+        monkeypatch.setattr(hooks_mod, "_quasihook_witnesses", oracle)
         assert closed == [ext_pprime_degree_set(n, p, bound=0) for n in range(1, 61)]
+        assert calls == {2: 55, 3: 54}
 
     def test_self_conjugacy_rule(self):
         for n in range(6, 41):
@@ -323,7 +348,7 @@ class TestQuasihookWitnesses:
         with pytest.raises(ArithmeticError,
                            match=r"^the quasihook \(n, c, t\) = \(12, 2, 0\) gives no "
                                  r"integral degree$"):
-            _quasihook_witnesses(12, 5, 2)
+            _witnesses(12, 5, 2)
 
 
 def _one_plus_power_closed_form(m: int) -> set[tuple[int, ...]]:
@@ -564,7 +589,7 @@ class TestAnBound:
                 r = n % p
                 pair = _closed_form_pair(n, r)
                 assert all(d % p for d in pair), (n, p)
-                assert set(pair) <= _quasihook_witnesses(n, p, r + 1), (n, p)
+                assert set(pair) <= _witnesses(n, p, r + 1), (n, p)
                 assert verify_An_bound(n, p).witnesses == (1, *pair)
                 seen += 1
         assert seen == 132
@@ -582,9 +607,10 @@ class TestAnBound:
         (["verify-an", "--n-max", "30", "--primes", "5,7"], 24 * 2),
     ])
     def test_verify_an_filters_hooks_once_per_pair(self, monkeypatch, argv, pairs):
-        # the list is handed to verify_An_bound and the extendable set,
-        # not filtered again by each, and each pair takes its set from one
-        # call, below the exact bound and above it
+        # the hook filter runs once per pair, for the row's count:
+        # verify_An_bound reads its legs off the digits of n - 1 and the
+        # extendable set filters its own table, and each pair takes its
+        # set from one call, below the exact bound and above it
         calls = Counter()
         set_calls = Counter()
         real = hooks_mod.pprime_hook_xs
@@ -605,12 +631,26 @@ class TestAnBound:
         assert len(calls) == pairs and set(calls.values()) == {1}
         assert set_calls == calls
 
-    def test_given_hook_list_is_used(self):
-        assert verify_An_bound(26, 5, _xs=[]) == verify_An_bound(26, 5)  # not the hooks case
-        assert not verify_An_bound(10, 5, _xs=[]).ok
-        xs = pprime_hook_xs(41, 5)
-        assert ext_pprime_degree_set(41, 5, _xs=xs) == ext_pprime_degree_set(41, 5)
-        assert ext_pprime_degree_set(41, 5, _xs=xs[:1]) < ext_pprime_degree_set(41, 5)
+    def test_hook_witnesses_are_the_three_smallest_legs(self):
+        # the legs read off the digits of n - 1 are the first three of
+        # the filter, at every hook-case pair with n <= 2000 and 5 <= p <= 31
+        seen = 0
+        for p in range(5, 32):
+            if not is_prime(p):
+                continue
+            for n in range(7, 2001):
+                if _an_bound_case(n, p) == "hooks":
+                    result = verify_An_bound(n, p)
+                    xs = pprime_hook_xs(n, p)[:3]
+                    assert result.witnesses == tuple(comb(n - 1, x) for x in xs), (n, p)
+                    assert result.ok and result.method == "hook-degrees"
+                    seen += 1
+        assert seen == 17828
+
+    @pytest.mark.parametrize("p", (5, 7, 11, 13, 31))
+    def test_constructive_set_degrees_are_prime_to_p(self, p):
+        for n in range(1, 501):
+            assert all(d % p for d in ext_pprime_degree_set(n, p, bound=0)), n
 
     def test_exact_sets_beat_halved_bound(self):
         for n in range(5, 26):
@@ -626,12 +666,17 @@ class TestNegativeControls:
     def test_a5_at_p2_has_fewer_than_three_degrees(self):
         assert scan_ext_degree_sets(5, (2,))[2] == filter_ext_degree_sets(5, (2,))[2] == {1, 5}
 
-    def test_hook_legs_with_degrees_divisible_by_p_fail(self):
-        # legs 0, 3 and 4 at n = 33: C(32, 3) = 4960 and C(32, 4) = 35960
-        # are multiples of 5, so the given leg list certifies nothing
-        result = verify_An_bound(33, 5, _xs=[0, 3, 4])
-        assert result.witnesses == (1, 4960, 35960) and not result.ok
-        assert not verify_An_bound(10, 5, _xs=[0, 0, 1]).ok  # a repeated leg
+    def test_hook_legs_with_degrees_divisible_by_p_fail(self, monkeypatch):
+        # n = 33 is in the hook case, with legs 0, 1 and 2; hook degrees
+        # C(32, 3) = 4960 and C(32, 4) = 35960 in place of legs 1 and 2 are
+        # multiples of 5, and a repeated degree is no third one
+        for wrong, wits in (({1: 4960, 2: 35960}, (1, 4960, 35960)),
+                            ({2: 32}, (1, 32, 32))):
+            monkeypatch.setattr(hooks_mod, "hook_degree",
+                                lambda n, x: wrong.get(x, comb(n - 1, x)))
+            result = verify_An_bound(33, 5)
+            assert result.method == "hook-degrees" and result.witnesses == wits
+            assert not result.ok
 
     @pytest.mark.parametrize("n, witnesses", [(26, (5, 7)), (27, (1, 7))])
     def test_quasihook_witnesses_meet_the_same_rule(self, monkeypatch, n, witnesses):
@@ -652,7 +697,7 @@ class TestNegativeControls:
     def test_constructive_set_without_quasihooks_is_caught(self, monkeypatch, capsys):
         # the hooks alone miss the bound exactly where n has fewer than six
         # p'-hooks; at n = 26 = 1 + 5^2 the two hooks leave the set {1}
-        monkeypatch.setattr(hooks_mod, "_quasihook_witnesses", lambda n, p, c: set())
+        monkeypatch.setattr(hooks_mod, "_quasihook_witnesses", lambda n, V, L, c: set())
         assert cli.main(["verify-an", "--n-max", "31", "--primes", "5",
                          "--exact-bound", "0"]) == 2
         out, err = capsys.readouterr()
