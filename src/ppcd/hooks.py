@@ -65,6 +65,7 @@ from .partitions import (
     p_adic_expansion,
     require_int,
     require_prime,
+    require_prime_above_3,
 )
 
 __all__ = [
@@ -450,8 +451,35 @@ def _quasihook_degrees(n: int, c: int, legs) -> Iterator[int]:
         yield deg
 
 
+def _short_legs(n: int, p: int) -> tuple[int, ...]:
+    """The two smallest p'-legs x1 < x2 above 0 of n, or (x1,) if there
+    are no more: read off the base-p digits of n - 1 >= 1, with no table.
+
+    By Lucas, x is a p'-leg iff no digit of x exceeds that of n - 1 in
+    its place.  With a the lowest nonzero digit of n - 1, at place e,
+    x1 = p^e: a smaller x > 0 has a nonzero digit below e.  If a > 1,
+    x2 = 2 p^e, as the x between have a nonzero digit below e.  If a = 1,
+    x2 = p^e' with e' the place of the next nonzero digit, and if there
+    is none, n - 1 = p^e and the legs are 0 and x1 alone.
+    """
+    (a, e), *rest = p_adic_expansion(n - 1, p)
+    x1 = p**e
+    if a > 1:
+        return x1, 2 * x1
+    return (x1, p ** rest[0][1]) if rest else (x1,)
+
+
 def _an_bound_case(n: int, p: int) -> str:
     """Which family certifies the A_n bound at (n, p); computes no degree.
+
+    The case test reads the legs of ``_short_legs``: the row is in the
+    hook case iff the last of them, x, has 2x < n - 1, which holds iff
+    the p'-hook count h is at least 6.  If n - 1 = p^e, x = x1 = n - 1
+    fails the test, and h = 2.  Else x = x2, and as the legs are closed
+    under x <-> n - 1 - x, 2 x2 < n - 1 makes 0, x1, x2 and their three
+    mirrors six distinct legs; and of h >= 6 sorted legs the i-th has
+    its mirror at h - 1 - i, so 2x < n - 1 for i < (h - 1)/2, hence for
+    x2 (i = 2).
 
     The lemma: for n >= 7 and p >= 5, fewer than 6 p'-hooks force
     n = 1 or 2 (mod p).  With n = sum_j a_j p^{n_j} (nonzero digits,
@@ -461,7 +489,7 @@ def _an_bound_case(n: int, p: int) -> str:
     the count a_1 = n >= 7, so a_2 >= 1 exists, and a_1 (a_2 + 1) < 6
     gives a_1 <= 2.
     """
-    if count_pprime_hooks_formula(n, p) >= 6:
+    if 2 * _short_legs(n, p)[-1] < n - 1:
         return "hooks"
     if n % p in (1, 2):
         return f"{n % p}-mod-p"
@@ -474,15 +502,8 @@ def verify_An_bound(n: int, p: int) -> AnBoundResult:
 
     This holds for every such n, by the lemma of ``_an_bound_case``.  With
     at least 6 p'-hooks the hooks of the three smallest p'-legs 0 < x1 <
-    x2 give three distinct degrees C(n-1, x), read off the base-p digits
-    of n - 1 with no table built.  By Lucas, x is a p'-leg iff no digit
-    of x exceeds that of n - 1 in its place.  With a the lowest nonzero
-    digit of n - 1, at place e, x1 = p^e: a smaller x > 0 has a nonzero
-    digit below e.  If a > 1, x2 = 2 p^e, as the x between have a nonzero
-    digit below e.  If a = 1, x2 = p^e' with e' the place of the next
-    nonzero digit (there is one, a lone digit 1 gives 2 p'-hooks).  The
-    legs are closed under x <-> n - 1 - x, so of h >= 6 sorted legs the
-    i-th has 2x < n - 1 for i < (h - 1)/2, hence for i <= 2.
+    x2 of ``_short_legs`` give three distinct degrees C(n-1, x), all with
+    2x < n - 1.
     Otherwise n = r (mod p) with r = 1 or 2, and the witnesses are 1 and
     the quasihooks (n-c-t, c, 1^t) with c = r + 1 and t = 0, 1, taken
     from ``_quasihook_degrees``: n(n-3)/2 and n(n-2)(n-4)/3 for r = 1,
@@ -491,22 +512,16 @@ def verify_An_bound(n: int, p: int) -> AnBoundResult:
     2, 1, -1, -4 (r = 2) over the denominators 2, 3, 6 and 8, so p > 3
     divides neither.  None of those four partitions is self-conjugate at
     n >= 7: their conjugates are (2, 2, 1^(n-4)), (3, 2, 1^(n-5)),
-    (2, 2, 2, 1^(n-6)) and (3, 2, 2, 1^(n-7)).  Hook legs with
-    2x >= n - 1 (none, by the above) are dropped.  One rule judges the
+    (2, 2, 2, 1^(n-6)) and (3, 2, 2, 1^(n-7)).  One rule judges the
     witnesses of every case, rather than trusting them: three, all
     distinct, none divisible by p.
     """
     require_int(n, 7, "expected an integer n >= 7, got {!r}")
-    require_prime(p)
-    if p <= 3:
-        raise ValueError(f"expected a prime p > 3, got {p}")
+    require_prime_above_3(p)
 
     method = _an_bound_case(n, p)
     if method == "hooks":
-        (a, e), *rest = p_adic_expansion(n - 1, p)
-        x1 = p**e
-        x2 = 2 * x1 if a > 1 else p ** rest[0][1]
-        wits = tuple(hook_degree(n, x) for x in (0, x1, x2) if 2 * x < n - 1)
+        wits = tuple(hook_degree(n, x) for x in (0, *_short_legs(n, p)))
         method = "hook-degrees"
     else:
         wits = (1, *_quasihook_degrees(n, 1 + n % p, (0, 1)))

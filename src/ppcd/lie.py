@@ -2,18 +2,20 @@
 
 Four layers:
 
-* ``DegreeFormula`` -- a product form scalar * prod(q^m - s) over
-  prod(q^m - s), evaluated to an exact rational.  A few of the
-  classical q'-part entries carry a bare 1/2 that only clears for odd
+* ``DegreeFormula`` -- a product form prod(q^m - s) over prod(q^m - s),
+  taken by one exact division and halved where its ``half`` flag is
+  set.  The halved classical q'-part entries clear the 1/2 only for odd
   q; at even q they are non-integral, and the grid prints them as such.
 * generic-order arithmetic for GL/GU, giving semisimple character
   degrees as p'-parts of centralizer indices, checked against the
   closed forms they reproduce (acceptance criterion 7).
 * the classical grid: two carried unipotent q'-degrees (d1, d2) per
-  family and rank, checked for every grid prime p > 3 prime to q.  It
-  is computed by (family, rank, q) block: d1 and d2 are fixed within a
-  block, and p divides both exactly when p | gcd(d1.numerator,
-  d2.numerator), so one gcd per block gives every failing p.
+  family and rank, checked for every grid prime p > 3 prime to q.  A
+  degree's denominator is 1 or 2, so p divides it exactly when it
+  divides its numerator.  The grid is computed by (family, rank, q)
+  block: d1 and d2 are fixed within a block, and p divides both exactly
+  when p | gcd(d1.numerator, d2.numerator), so one gcd per block gives
+  every failing p.
 * the small families (PSL2, PSL3/PSU3, PSp4, the Suzuki and small Ree
   groups, and the defining-characteristic G2/F4/triality-D4
   constants), each selecting for every (family, q, p) of its domain a
@@ -34,7 +36,7 @@ from itertools import groupby
 from math import gcd, isqrt, prod
 from typing import NamedTuple
 
-from .partitions import is_prime, require_int, require_prime
+from .partitions import is_prime, require_int, require_prime, require_prime_above_3
 
 __all__ = [
     "CentralizerSpec",
@@ -90,33 +92,35 @@ def _primes_in(lo: int, hi: int) -> list[int]:
 
 @dataclass(frozen=True)
 class DegreeFormula:
-    """scalar * prod(q^m - s) / prod(q^m - s), s = +-1.
+    """prod(q^m - s) / prod(q^m - s), s = +-1, halved where ``half``.
 
-    ``evaluate_rational`` gives the exact value at q; the 1/2-scalar
-    rows are non-integral at even q, and no integrality is enforced.
+    For every carried formula the quotient of the products is a
+    polynomial in q with integer coefficients, so ``evaluate_rational``
+    takes it by one exact division, whose remainder raises, and its
+    value has denominator 1, or 2 where ``half`` is set and the quotient
+    is odd: the halved rows are non-integral at even q.
     """
 
-    scalar: Fraction = Fraction(1)
+    half: bool = False
     factors: tuple[tuple[int, int], ...] = ()
     denominator_factors: tuple[tuple[int, int], ...] = ()
 
     def __post_init__(self) -> None:
-        scalar = self.scalar if isinstance(self.scalar, Fraction) else Fraction(self.scalar)
-        object.__setattr__(self, "scalar", scalar)
-        if scalar <= 0:
-            raise ValueError(f"scalar must be positive, got {scalar}")
         for m, s in self.factors + self.denominator_factors:
             if m < 1 or s not in (1, -1):
                 raise ValueError(f"bad factor (m, s) = ({m}, {s})")
 
     def evaluate_rational(self, q: int) -> Fraction:
-        num = self.scalar.numerator
+        num = 1
         for m, s in self.factors:
             num *= q**m - s
-        den = self.scalar.denominator
+        den = 1
         for m, s in self.denominator_factors:
             den *= q**m - s
-        return Fraction(num, den)
+        value, rem = divmod(num, den)
+        if rem:
+            raise ArithmeticError(f"{self} does not divide exactly at q = {q}")
+        return Fraction(value, 2) if self.half else Fraction(value)
 
 
 def qprime_part(N: int, r: int) -> int:
@@ -199,10 +203,9 @@ def semisimple_degree(n: int, eps: int, q: int, r: int | None, c: CentralizerSpe
 # For each classical family two specific low unipotent characters are
 # carried, as q'-parts of their degrees.  The twisted-A pair is the A
 # pair under Ennola duality (q -> -q): each factor q^m - 1 becomes
-# q^m - (-1)^m, so the parity of m picks the sign.  The rows with a
-# bare 1/2 scalar (B/C, the rank-4 D row, and the even-q B2 row) are
-# integral only for odd q; they are evaluated as written, to exact
-# rationals.
+# q^m - (-1)^m, so the parity of m picks the sign.  The halved rows
+# (B/C, the rank-4 D row, and the even-q B2 row) are integral only for
+# odd q; they are evaluated as written, to exact rationals.
 
 CLASSICAL_FAMILY_ALIASES = {"C": "B"}
 
@@ -241,7 +244,6 @@ def classical_unipotent_pair(family: str, n: int) -> tuple[DegreeFormula, Degree
     lo, hi = classical_family_rank_range(fam)
     if n < lo or (hi is not None and n > hi):
         raise ValueError(f"rank {n} out of range for family {family!r}")
-    half = Fraction(1, 2)
     if fam in ("A", "2A"):
         # each factor q^m - eps^m: eps = 1 for A, and -1 for 2A by Ennola
         eps = 1 if fam == "A" else -1
@@ -251,33 +253,22 @@ def classical_unipotent_pair(family: str, n: int) -> tuple[DegreeFormula, Degree
             denominator_factors=((1, eps), (2, eps**2)),
         )
     elif fam == "B":
-        f1 = DegreeFormula(
-            scalar=half, factors=((n - 1, 1), (n, -1)), denominator_factors=((1, 1),)
-        )
-        f2 = DegreeFormula(
-            scalar=half, factors=((n - 1, -1), (n, 1)), denominator_factors=((1, 1),)
-        )
+        f1 = DegreeFormula(half=True, factors=((n - 1, 1), (n, -1)), denominator_factors=((1, 1),))
+        f2 = DegreeFormula(half=True, factors=((n - 1, -1), (n, 1)), denominator_factors=((1, 1),))
     elif fam == "B2-even":
-        f1 = DegreeFormula(scalar=half, factors=((1, 1), (1, 1)))
-        f2 = DegreeFormula(scalar=half, factors=((1, -1), (1, -1)))
+        f1 = DegreeFormula(half=True, factors=((1, 1), (1, 1)))
+        f2 = DegreeFormula(half=True, factors=((1, -1), (1, -1)))
     elif fam == "D":
         f1 = DegreeFormula(factors=((n, 1), (n - 2, -1)), denominator_factors=((2, 1),))
-        f2 = DegreeFormula(
-            factors=((n - 1, -1), (n - 1, 1)), denominator_factors=((2, 1),)
-        )
+        f2 = DegreeFormula(factors=((n - 1, -1), (n - 1, 1)), denominator_factors=((2, 1),))
     elif fam == "D4":
-        f1 = DegreeFormula(scalar=half, factors=((1, -1), (1, -1), (1, -1), (3, -1)))
+        f1 = DegreeFormula(half=True, factors=((1, -1), (1, -1), (1, -1), (3, -1)))
         # (q^2+1)^2 (q^2+q+1) / 2, with q^2+q+1 written (q^3-1)/(q-1)
-        f2 = DegreeFormula(
-            scalar=half,
-            factors=((2, -1), (2, -1), (3, 1)),
-            denominator_factors=((1, 1),),
-        )
+        f2 = DegreeFormula(half=True, factors=((2, -1), (2, -1), (3, 1)),
+                           denominator_factors=((1, 1),))
     else:  # 2D
         f1 = DegreeFormula(factors=((n, -1), (n - 2, 1)), denominator_factors=((2, 1),))
-        f2 = DegreeFormula(
-            factors=((n - 1, -1), (n - 1, 1)), denominator_factors=((2, 1),)
-        )
+        f2 = DegreeFormula(factors=((n - 1, -1), (n - 1, 1)), denominator_factors=((2, 1),))
     return f1, f2
 
 
@@ -290,35 +281,26 @@ def _q_parity_error(fam: str, n: int, q: int) -> str | None:
     return None
 
 
-def _pair_not_both_divisible(d1: Fraction, d2: Fraction, p: int) -> bool:
-    """Whether p fails to divide d1 or d2, tested in that order; p in the
-    denominator of a tested value is an error."""
-    if d1.denominator % p == 0:
-        raise ArithmeticError(f"prime {p} in the denominator of {d1}")
-    if d1.numerator % p:
-        return True
-    if d2.denominator % p == 0:
-        raise ArithmeticError(f"prime {p} in the denominator of {d2}")
-    return d2.numerator % p != 0
-
-
 def not_both_divisible(family: str, n: int, q: int, p: int) -> bool:
     """Whether p > 3 fails to divide at least one of the family's pair.
 
-    Contract: always true on valid parameters (p coprime to q, rank in
-    range, q parity matching the row).
+    The parameters must be valid: p coprime to q, the rank in range and
+    q's parity matching the row.  A carried degree has denominator 1 or
+    2, so p divides it exactly when p divides its numerator.  The result
+    is not always True.  It is False on the A rows with q = -1 (mod p),
+    n odd and p | n - 3, and on the 2A rows with q = 1 (mod p) and the
+    same n, for example ("A", 13, 4, 5) and ("2A", 13, 11, 5).  ROADMAP.md
+    lists these rows as the open type-A defect of the classical grid.
     """
-    require_prime(p)
-    if p <= 3:
-        raise ValueError(f"expected a prime p > 3, got {p}")
+    require_prime_above_3(p)
     require_prime_power(q)
     if q % p == 0:
         raise ValueError(f"p = {p} must not divide q = {q}")
     parity_error = _q_parity_error(CLASSICAL_FAMILY_ALIASES.get(family, family), n, q)
     if parity_error:
         raise ValueError(parity_error)
-    f1, f2 = classical_unipotent_pair(family, n)
-    return _pair_not_both_divisible(f1.evaluate_rational(q), f2.evaluate_rational(q), p)
+    d1, d2 = (f.evaluate_rational(q) for f in classical_unipotent_pair(family, n))
+    return d1.numerator % p != 0 or d2.numerator % p != 0
 
 
 class _ClassicalBlock(NamedTuple):
@@ -352,9 +334,7 @@ def _classical_blocks(
     Every family is checked before any block is built.  Within a block
     d1 and d2 are fixed, so with g = gcd(d1.numerator, d2.numerator) a
     prime p fails exactly when p | g; one gcd against the product of the
-    grid primes finds them all.  A grid prime in a denominator goes
-    through ``_pair_not_both_divisible``, which raises where the per-row
-    test raises.
+    grid primes finds them all.
     """
     fams = families if families is not None else classical_families()
     ranges = [classical_family_rank_range(family) for family in fams]
@@ -372,11 +352,6 @@ def _classical_blocks(
                     continue
                 d1 = f1.evaluate_rational(q)
                 d2 = f2.evaluate_rational(q)
-                den = d1.denominator * d2.denominator
-                if gcd(den, ps_product) > 1:
-                    for p in primes:
-                        if den % p == 0:
-                            _pair_not_both_divisible(d1, d2, p)
                 g = gcd(d1.numerator, d2.numerator, ps_product)
                 failing = frozenset(p for p in primes if g % p == 0) if g > 1 else frozenset()
                 blocks.append(_ClassicalBlock(family, n, q, d1, d2, primes, failing))
@@ -391,8 +366,8 @@ def classical_grid(
 ) -> list[dict]:
     """One row per (family, rank, q, p) combination of the verification grid.
 
-    Degrees are exact rationals (the 1/2-scalar rows are non-integral
-    for even q); ``ok`` is the not-both-divisible check.  The rows are
+    Degrees are exact rationals (the halved rows are non-integral for
+    even q); ``ok`` is the not-both-divisible check.  The rows are
     the (family, rank, q) blocks of ``_classical_blocks`` flattened:
     d1 and d2 are fixed within a block, and p fails exactly when it
     divides gcd(d1.numerator, d2.numerator).
@@ -613,9 +588,7 @@ def _small_family(family: str) -> tuple:
 def exceptional_pair_record(family: str, q: int, p: int) -> ExceptionalPairRecord:
     """Full record (degrees plus invariance metadata) for a small family."""
     build, _ = _small_family(family)
-    require_prime(p)
-    if p <= 3:
-        raise ValueError(f"expected a prime p > 3, got {p}")
+    require_prime_above_3(p)
     return build(q, p)
 
 

@@ -49,6 +49,7 @@ __all__ = [
     "p_adic_expansion",
     "require_int",
     "require_prime",
+    "require_prime_above_3",
 ]
 
 # Partition enumeration refuses n above this unless the caller raises the
@@ -84,6 +85,13 @@ def require_int(x, lo: int, message: str, shown=None) -> int:
 def require_prime(p: int) -> int:
     if not is_prime(require_int(p, 2, "expected a prime, got {!r}")):
         raise ValueError(f"expected a prime, got {p!r}")
+    return p
+
+
+def require_prime_above_3(p: int) -> int:
+    """``require_prime(p)``, then ValueError unless p > 3."""
+    if require_prime(p) <= 3:
+        raise ValueError(f"expected a prime p > 3, got {p}")
     return p
 
 
@@ -227,14 +235,10 @@ def e_core(lam: Partition, e: int) -> Partition:
 
 
 def _removable_nodes(parts: tuple[int, ...], e: int) -> list[tuple[int, int]]:
-    """0-indexed nodes whose hook length is exactly e, row-major order."""
-    conj = _conjugate_parts(parts)
-    nodes = []
-    for i, v in enumerate(parts):
-        for j in range(v):
-            if v - j + conj[j] - i - 1 == e:
-                nodes.append((i, j))
-    return nodes
+    """0-indexed nodes whose hook length is exactly e, row-major order,
+    read off ``_hook_lengths``."""
+    nodes = ((i, j) for i, v in enumerate(parts) for j in range(v))
+    return [node for node, h in zip(nodes, _hook_lengths(parts)) if h == e]
 
 
 def _remove_rim_hook(parts: tuple[int, ...], i: int, j: int) -> tuple[int, ...]:

@@ -84,7 +84,7 @@ CORPUS: list[list[str]] = [
                            ("PSU3", "4", "5"), ("PSp4", "7", "7"), ("Suzuki", "8", "7"),
                            ("Ree2G2", "27", "13"), ("G2", "7", "7"), ("F4", "5", "5"),
                            ("TriD4", "11", "11"))),
-    # the Lie grid past rank 13, where rows fail, in JSON; the 1/2-scalar
+    # the Lie grid past rank 13, where rows fail, in JSON; the halved
     # rows in JSON; a repeated family; an unknown family after a good one
     # (exit 1, nothing on stdout); no prime p >= 5; no rank in range
     ["verify-lie", "--q-max", "32", "--p-max", "61", "--rank-max", "20", "--format", "json"],

@@ -21,6 +21,7 @@ from ppcd.hooks import (
     _layered_first_parts,
     _quasihook_degrees,
     _quasihook_witnesses,
+    _short_legs,
     count_pprime_hooks_formula,
     count_pprime_partitions_formula,
     ext_pprime_degree_set,
@@ -556,9 +557,23 @@ class TestAnBound:
             assert [n for n, c in enumerate(counts)
                     if c < 6 and n >= 7 and n % p not in (1, 2)] == [], p
 
+    def test_hook_case_is_six_or_more_hooks(self):
+        # the case test on the legs read off n - 1 against the count
+        for p in range(5, 98):
+            if is_prime(p):
+                for n in range(7, 10001):
+                    assert ((_an_bound_case(n, p) == "hooks")
+                            == (count_pprime_hooks_formula(n, p) >= 6)), (n, p)
+
+    def test_short_legs_are_the_filters_next_two(self):
+        for p in (5, 7, 11, 13):
+            for n in range(2, 1001):
+                assert _short_legs(n, p) == tuple(pprime_hook_xs(n, p)[1:3]), (n, p)
+
     def test_guard_names_n_and_p(self, monkeypatch):
-        # force the non-hook branch at n = 3 (mod 5): the lemma's guard raises
-        monkeypatch.setattr(hooks_mod, "count_pprime_hooks_formula", lambda n, p: 5)
+        # force the non-hook branch at n = 3 (mod 5): with x1 = n - 1 as
+        # the only short leg the lemma's guard raises
+        monkeypatch.setattr(hooks_mod, "_short_legs", lambda n, p: (n - 1,))
         with pytest.raises(AssertionError,
                            match=r"^n = 8 has p'-hook count below 6 for p = 5 "
                                  r"but is 3 mod 5, not 1 or 2$"):
@@ -630,6 +645,20 @@ class TestAnBound:
         assert cli.main(argv) == 0
         assert len(calls) == pairs and set(calls.values()) == {1}
         assert set_calls == calls
+
+    def test_verify_an_counts_hooks_once_per_pair(self, monkeypatch):
+        # the row's count is the only call: the case test reads the legs
+        calls = Counter()
+        real = hooks_mod.count_pprime_hooks_formula
+
+        def counted(n, p):
+            calls[n, p] += 1
+            return real(n, p)
+
+        monkeypatch.setattr(hooks_mod, "count_pprime_hooks_formula", counted)
+        monkeypatch.setattr(sys, "stdout", _NullOut())
+        assert cli.main(["verify-an", "--n-max", "60", "--exact-bound", "0"]) == 0
+        assert len(calls) == 54 * 4 and set(calls.values()) == {1}
 
     def test_hook_witnesses_are_the_three_smallest_legs(self):
         # the legs read off the digits of n - 1 are the first three of

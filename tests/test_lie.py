@@ -130,14 +130,28 @@ class TestSemisimpleDegree:
 class TestDegreeFormula:
     def test_validation(self):
         with pytest.raises(ValueError):
-            DegreeFormula(scalar=Fraction(0))
-        with pytest.raises(ValueError):
             DegreeFormula(factors=((1, 2),))
 
     def test_eval(self):
         f = DegreeFormula(factors=((3, 1),), denominator_factors=((1, 1),))
         assert f.evaluate_rational(2) == Fraction(7)
         assert f.evaluate_rational(4) == Fraction(21)
+        g = DegreeFormula(half=True, factors=((3, 1),), denominator_factors=((1, 1),))
+        assert g.evaluate_rational(4) == Fraction(21, 2)
+        assert g.evaluate_rational(5) == Fraction(31, 2)
+        assert g.evaluate_rational(3) == Fraction(13, 2)
+
+    @pytest.mark.parametrize("family", lie.classical_families())
+    def test_carried_formulas_divide_exactly(self, family):
+        # every carried quotient is an integer polynomial: no remainder at
+        # any prime power q <= 512, ranks up to 60, and denominator 1
+        # unless the formula is halved
+        lo, hi = lie.classical_family_rank_range(family)
+        qs = prime_powers_upto(512)
+        for n in range(lo, (hi or 60) + 1):
+            for f in classical_unipotent_pair(family, n):
+                for q in qs:
+                    assert f.evaluate_rational(q).denominator in ((1, 2) if f.half else (1,))
 
 
 class TestClassicalRows:
@@ -224,6 +238,11 @@ class TestNotBothDivisible:
         assert not_both_divisible("A", 4, 2, 7)
         assert not_both_divisible("B", 3, 3, 5)
 
+    def test_type_a_rows_where_both_are_divisible(self):
+        # A at q = -1 (mod p) and 2A at q = 1 (mod p), n odd, p | n - 3
+        assert not not_both_divisible("A", 13, 4, 5)
+        assert not not_both_divisible("2A", 13, 11, 5)
+
     def test_parity_enforced(self):
         with pytest.raises(ValueError):
             not_both_divisible("B", 2, 4, 5)
@@ -262,7 +281,7 @@ def _classical_grid_oracle(q_max, p_max, families=None, rank_max=10):
                 for p in ps:
                     if q % p == 0:
                         continue
-                    ok = lie._pair_not_both_divisible(d1, d2, p)
+                    ok = d1.numerator % p != 0 or d2.numerator % p != 0
                     rows.append({"family": family, "n": n, "q": q, "p": p,
                                  "d1": d1, "d2": d2, "ok": ok})
     return rows
@@ -309,26 +328,20 @@ class TestClassicalBlocks:
         assert classical_grid(27, 97, ["A"], rank_max=3) == []
         assert classical_grid(1, 97) == []
 
-    @pytest.mark.parametrize("pair, q, raises", [
-        # (q + 1)/(q - 1) at q = 11 is 6/5: 5 in the denominator of d1
-        (((((1, -1),), ((1, 1),)), (((1, 1),), ())), 11, True),
-        # d1 = q - 1 = 10 is divisible by 5 and d2 = 12/10 = 6/5 has 5 below
-        (((((1, 1),), ()), (((1, -1),), ((1, 1),))), 11, True),
-        # d1 = q + 1 = 12 is prime to 5, so d2's denominator is never tested
-        (((((1, -1),), ()), (((1, -1),), ((1, 1),))), 11, False),
-    ], ids=["d1-denominator", "d2-denominator", "d2-denominator-untested"])
-    def test_prime_in_a_denominator(self, monkeypatch, pair, q, raises):
-        formulas = tuple(DegreeFormula(factors=f, denominator_factors=d) for f, d in pair)
+    def test_inexact_formula_raises(self, monkeypatch):
+        # d1 = q + 1 is exact; d2 = (q + 1)/(q - 1) is 5/3 at q = 4, and
+        # the grid, its row oracle and the single-row check all raise
+        formulas = (DegreeFormula(factors=((1, -1),)),
+                    DegreeFormula(factors=((1, -1),), denominator_factors=((1, 1),)))
         monkeypatch.setattr(lie, "classical_unipotent_pair", lambda family, n: formulas)
-        if raises:
-            with pytest.raises(ArithmeticError) as want:
-                _classical_grid_oracle(q, 5, ["A"], rank_max=4)
-            with pytest.raises(ArithmeticError) as got:
-                classical_grid(q, 5, ["A"], rank_max=4)
-            assert str(got.value) == str(want.value)
-        else:
-            assert classical_grid(q, 5, ["A"], rank_max=4) == _classical_grid_oracle(
-                q, 5, ["A"], rank_max=4)
+        with pytest.raises(ArithmeticError) as want:
+            _classical_grid_oracle(4, 5, ["A"], rank_max=4)
+        with pytest.raises(ArithmeticError) as got:
+            classical_grid(4, 5, ["A"], rank_max=4)
+        assert str(got.value) == str(want.value)
+        assert str(got.value).endswith("does not divide exactly at q = 4")
+        with pytest.raises(ArithmeticError, match=r"at q = 4$"):
+            not_both_divisible("A", 4, 4, 7)
 
 
 class TestExceptionalPairs:
