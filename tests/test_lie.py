@@ -328,20 +328,29 @@ class TestClassicalBlocks:
         assert classical_grid(27, 97, ["A"], rank_max=3) == []
         assert classical_grid(1, 97) == []
 
-    def test_inexact_formula_raises(self, monkeypatch):
-        # d1 = q + 1 is exact; d2 = (q + 1)/(q - 1) is 5/3 at q = 4, and
-        # the grid, its row oracle and the single-row check all raise
-        formulas = (DegreeFormula(factors=((1, -1),)),
-                    DegreeFormula(factors=((1, -1),), denominator_factors=((1, 1),)))
+    @pytest.mark.parametrize("pair, q", [
+        # (q + 1)/(q - 1) at q = 11 is 12/10: 5 reaches the denominator of d1
+        (((((1, -1),), ((1, 1),)), (((1, 1),), ())), 11),
+        # d1 = q - 1 = 10 is divisible by 5 and d2 = 12/10 has 5 below
+        (((((1, 1),), ()), (((1, -1),), ((1, 1),))), 11),
+        # d1 = q + 1 = 12 is prime to 5, yet d2 = 12/10 is still divided
+        # exactly, so the inexact d2 raises rather than going untested
+        (((((1, -1),), ()), (((1, -1),), ((1, 1),))), 11),
+    ], ids=["d1-denominator", "d2-denominator", "d2-denominator-untested"])
+    def test_prime_in_a_denominator(self, monkeypatch, pair, q):
+        # an inexact quotient raises in the grid, its row oracle and the
+        # single-row check alike; (q + 1)/(q - 1) is exact at q = 2, 3 and
+        # first inexact at q = 4, where the grid stops
+        formulas = tuple(DegreeFormula(factors=f, denominator_factors=d) for f, d in pair)
         monkeypatch.setattr(lie, "classical_unipotent_pair", lambda family, n: formulas)
         with pytest.raises(ArithmeticError) as want:
-            _classical_grid_oracle(4, 5, ["A"], rank_max=4)
+            _classical_grid_oracle(q, 5, ["A"], rank_max=4)
         with pytest.raises(ArithmeticError) as got:
-            classical_grid(4, 5, ["A"], rank_max=4)
+            classical_grid(q, 5, ["A"], rank_max=4)
         assert str(got.value) == str(want.value)
         assert str(got.value).endswith("does not divide exactly at q = 4")
-        with pytest.raises(ArithmeticError, match=r"at q = 4$"):
-            not_both_divisible("A", 4, 4, 7)
+        with pytest.raises(ArithmeticError, match=rf"at q = {q}$"):
+            not_both_divisible("A", 4, q, 5)
 
 
 class TestExceptionalPairs:
