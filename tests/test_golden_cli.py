@@ -151,6 +151,13 @@ CORPUS: list[list[str]] = [
     # q = 11, p = 5), in both formats
     *(["verify-lie", "--families", "2A", "--q-max", "64", "--p-max", "97", "--rank-max", "40",
        *fmt] for fmt in ((), ("--format", "json"))),
+    # PSL2 cases that no other entry reaches: p = 5 in defining
+    # characteristic (a tower and a mixed exponent), a small q, the
+    # generic case at q = 125, the order-3 and subfield branches of a
+    # small field, and p | q + 1
+    *(["lie-pair", "--family", "PSL2", "--q", q, "--p", p]
+      for q, p in (("5", "5"), ("25", "5"), ("5", "7"), ("125", "11"), ("32", "5"),
+                   ("16", "7"), ("9", "5"))),
 ]
 
 
