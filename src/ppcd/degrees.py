@@ -3,21 +3,18 @@
 Degrees come from the hook-length formula with exact big-integer
 arithmetic.  p-divisibility questions go through Legendre's factorial
 valuation, so n! is never factored and never materialized for a mere
-p'-test.  The fast p'-test is Macdonald's p-power-core criterion, run on
-the beta-set abacus: the e-weight (n - |core_e|) / e equals the number
-of hooks divisible by e (James-Kerber 2.7.40), and |core_e| follows from
-the bead count of each runner alone, so no hook length is built.  The
-valuation computation over all hook lengths is its independent oracle,
-and the one a CLI path uses: ``ppcd degrees`` reports ``pprime`` from
-``degree_valuation``, and Macdonald's test backs acceptance criterion 1.
+p'-test.  The second p'-test is Macdonald's criterion, read off the
+p-power cores of ``partitions.e_core``.  The valuation computation over
+all hook lengths is its independent oracle, and the one a CLI path
+uses: ``ppcd degrees`` reports ``pprime`` from ``degree_valuation``, and
+Macdonald's test backs acceptance criterion 1.
 """
 
 from __future__ import annotations
 
 from math import comb, factorial, prod
-from operator import add, mul
 
-from .partitions import Partition, _hook_lengths, _top_term, require_int, require_prime
+from .partitions import Partition, _hook_lengths, e_core, require_int, require_prime
 
 __all__ = [
     "binomial_coprime_lucas",
@@ -88,42 +85,20 @@ def is_pprime_oracle(lam: Partition, p: int) -> bool:
 
 
 def is_pprime_macdonald(lam: Partition, p: int) -> bool:
-    """p'-degree test by Macdonald's criterion, on the beta-set abacus.
+    """p'-degree test by Macdonald's criterion (Bull. LMS 3 (1971)): lam
+    has p'-degree iff, for every e = p^j <= n, its e-core has size n mod e.
 
-    lam has p'-degree iff, for every e = p^j <= n, its e-core has size
-    n mod e.  (Stripping the top base-p layer of n, a * p^k, leaves the
-    p^k-core; the p^j-core of that core is the p^j-core of lam, so the
-    recursive form of the criterion is this check at every level.)  The
-    e-weight (n - |core_e|) / e is the number of hooks divisible by e
-    (James-Kerber 2.7.40), and |core_e| needs only the bead counts c_r
-    of lam's beta-set beta_i = lam_i + len(lam) - 1 - i on e runners:
-    pushing every bead up gives sum_r (r c_r + e c_r (c_r - 1) / 2)
-    minus len(lam) (len(lam) - 1) / 2.  The counts for e / p are the
-    counts for e folded onto e / p runners.  One pass over the beads and
-    O(p^k) arithmetic after it; a partition of n < p always has
-    p'-degree since p does not divide n!.
+    The cores are ``e_core``'s, so no hook length is built.  For n < p
+    there is no such e: p does not divide n!.
     """
     require_prime(p)
     n = lam.n
-    if n < p:
-        return True
-    parts = lam.parts
-    ell = len(parts)
-    e = _top_term(n, p)[0]
-    counts = [0] * e
-    for b in map(add, parts, range(ell - 1, -1, -1)):
-        counts[b % e] += 1
-    offset = ell * (ell - 1) // 2
-    while True:
-        # sum_r c_r (c_r - 1) / 2 = (sum_r c_r^2 - ell) / 2
-        squares = sum(map(mul, counts, counts))
-        size = sum(map(mul, range(e), counts)) + e * (squares - ell) // 2 - offset
-        if size != n % e:
+    e = p
+    while e <= n:
+        if e_core(lam, e).n != n % e:
             return False
-        if e == p:
-            return True
-        e //= p
-        counts = [sum(counts[r::e]) for r in range(e)]
+        e *= p
+    return True
 
 
 def binomial_coprime_lucas(n: int, k: int, p: int) -> bool:

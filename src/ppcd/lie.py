@@ -258,16 +258,15 @@ def classical_unipotent_pair(family: str, n: int) -> tuple[DegreeFormula, Degree
     elif fam == "B2-even":
         f1 = DegreeFormula(half=True, factors=((1, 1), (1, 1)))
         f2 = DegreeFormula(half=True, factors=((1, -1), (1, -1)))
-    elif fam == "D":
-        f1 = DegreeFormula(factors=((n, 1), (n - 2, -1)), denominator_factors=((2, 1),))
-        f2 = DegreeFormula(factors=((n - 1, -1), (n - 1, 1)), denominator_factors=((2, 1),))
     elif fam == "D4":
         f1 = DegreeFormula(half=True, factors=((1, -1), (1, -1), (1, -1), (3, -1)))
         # (q^2+1)^2 (q^2+q+1) / 2, with q^2+q+1 written (q^3-1)/(q-1)
         f2 = DegreeFormula(half=True, factors=((2, -1), (2, -1), (3, 1)),
                            denominator_factors=((1, 1),))
-    else:  # 2D
-        f1 = DegreeFormula(factors=((n, -1), (n - 2, 1)), denominator_factors=((2, 1),))
+    else:
+        # d1 = (q^n - eps)(q^(n-2) + eps) / (q^2 - 1): eps = 1 for D, -1 for 2D
+        eps = 1 if fam == "D" else -1
+        f1 = DegreeFormula(factors=((n, eps), (n - 2, -eps)), denominator_factors=((2, 1),))
         f2 = DegreeFormula(factors=((n - 1, -1), (n - 1, 1)), denominator_factors=((2, 1),))
     return f1, f2
 

@@ -5,13 +5,14 @@ lengths, e-cores, base-p digit expansions, deterministic enumeration of
 partitions, and the hook partitions (n - x, 1^x) from which ``hooks``
 builds both p'-hook sets (the Legendre filter and ``_layered_first_parts``).
 
-e-cores are computed on a beta-set abacus (push every bead to the top
-of its runner), which is order-independent by construction and runs in
-O(parts + e).  Three public names serve checks, not any CLI path: the
-naive rim-hook remover ``e_core_by_removal`` is the oracle of
-``e_core``, and ``e_core`` with ``divisible_hooks`` checks the
-James-Kerber weight identity that ``degrees.is_pprime_macdonald``
-relies on.  The same abacus, run in reverse, generates the p'-degree
+Every e-core is read off one beta-set abacus, ``_abacus``: ``e_core``
+pushes every bead to the top of its runner, which is order-independent
+by construction and runs in O(parts + e).  Three public names serve
+checks, not any CLI path: the naive rim-hook remover
+``e_core_by_removal`` is the oracle of ``e_core``, ``e_core`` gives
+``degrees.is_pprime_macdonald`` its p-power cores, and
+``divisible_hooks`` with ``e_core`` checks the James-Kerber weight
+identity.  The same abacus, run in reverse, generates the p'-degree
 partitions of n directly from the p-core tower (``_pprime_tuples``)
 without visiting the others: each is a p^k-core and a quotient, and
 ``_multipartitions`` holds every quotient as its flat bead moves.
@@ -199,7 +200,7 @@ def _hook_lengths(parts: tuple[int, ...]) -> list[int]:
 def divisible_hooks(lam: Partition, e: int) -> tuple[int, ...]:
     """Sub-multiset of the hook lengths divisible by e (descending tuple).
 
-    Backs the James-Kerber weight identity that is_pprime_macdonald uses.
+    Backs the James-Kerber weight identity: lam has (n - |e_core|) / e of them.
     """
     _require_core_modulus(e)
     return tuple(sorted((h for h in _hook_lengths(lam.parts) if h % e == 0), reverse=True))
@@ -212,26 +213,16 @@ def _require_core_modulus(e: int) -> int:
 def e_core(lam: Partition, e: int) -> Partition:
     """The e-core: what is left after removing all rim hooks of length e.
 
-    Beta-set abacus: place the first-column hook lengths as beads on e
-    runners and slide every bead as far up its runner as it goes.  This
-    is removal-order independent by construction.
-    Backs the James-Kerber weight identity that is_pprime_macdonald uses.
+    lam's beta set on the abacus of ``_abacus(lam.parts, e, 0)``, with
+    every bead slid as far up its runner as it goes.  This is
+    removal-order independent by construction; ``e_core_by_removal`` is
+    its oracle, and ``degrees.is_pprime_macdonald`` reads Macdonald's
+    criterion off it.
     """
     _require_core_modulus(e)
-    parts = lam.parts
-    ell = len(parts)
-    if ell == 0:
-        return lam
-    beta = [parts[i] + (ell - 1 - i) for i in range(ell)]
-    runner_counts = [0] * e
-    for b in beta:
-        runner_counts[b % e] += 1
-    new_beta = []
-    for r in range(e):
-        new_beta.extend(r + e * i for i in range(runner_counts[r]))
-    new_beta.sort(reverse=True)
-    core = [new_beta[i] - (ell - 1 - i) for i in range(ell)]
-    return Partition._from_valid(tuple(x for x in core if x > 0))
+    _, runners = _abacus(lam.parts, e, 0)
+    return Partition._from_valid(_beta_parts(
+        [r + e * i for r, beads in enumerate(runners) for i in range(len(beads))]))
 
 
 def _removable_nodes(parts: tuple[int, ...], e: int) -> list[tuple[int, int]]:
@@ -407,11 +398,9 @@ def _pprime_pair_cores(n: int, p: int) -> Iterator[tuple[tuple[int, ...], int, i
 
 def _top_term(n: int, p: int) -> tuple[int, int, int]:
     """(p^k, a, r) for the top base-p term a * p^k of n >= p, r = n - a * p^k."""
-    e = p
-    while e * p <= n:
-        e *= p
-    a, r = divmod(n, e)
-    return e, a, r
+    a, k = p_adic_expansion(n, p)[-1]
+    e = p**k
+    return e, a, n - a * e
 
 
 def _abacus(mu: tuple[int, ...], e: int, a: int) -> tuple[list[int], list[list[int]]]:
@@ -424,7 +413,8 @@ def _abacus(mu: tuple[int, ...], e: int, a: int) -> tuple[list[int], list[list[i
     labels those of the conjugate index of ``_multipartitions``.
     runners[i] lists the indices in beta of runner i's beads, lowest
     first (largest position first), so move (i, j, v) slides
-    beta[runners[i][j]] down to beta[runners[i][j]] + e v.
+    beta[runners[i][j]] down to beta[runners[i][j]] + e v.  With a = 0
+    it is the abacus of mu itself, which ``e_core`` reads.
     """
     beads = e * (a + -(-len(mu) // e))
     beta = [v + beads - 1 - i for i, v in enumerate(mu)]
@@ -441,8 +431,13 @@ def _slide(beta: list[int], runners: list[list[int]], e: int, moves) -> tuple[in
     moved = beta[:]
     for runner, j, v in moves:
         moved[runners[runner][j]] += e * v
-    moved.sort(reverse=True)
-    return tuple(filter(None, map(sub, moved, range(len(moved) - 1, -1, -1))))
+    return _beta_parts(moved)
+
+
+def _beta_parts(beta: list[int]) -> tuple[int, ...]:
+    """The partition with beta set ``beta``, which is sorted in place."""
+    beta.sort(reverse=True)
+    return tuple(filter(None, map(sub, beta, range(len(beta) - 1, -1, -1))))
 
 
 def _abacus_slides(mu: tuple[int, ...], e: int, a: int) -> Iterator[tuple[int, ...]]:

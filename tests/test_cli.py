@@ -42,6 +42,16 @@ class TestCount:
         row = json.loads(out)
         assert code == 0 and row["agree"]
 
+    def test_failing_check_exits_2(self, capsys, monkeypatch):
+        real = cli.hooks_mod.hook_count_row
+        monkeypatch.setattr(cli.hooks_mod, "hook_count_row",
+                            lambda n, p: {**real(n, p), "ok": False})
+        code, out, err = run(capsys, "count", "--n", "7", "--p", "5")
+        assert code == 2
+        assert out == '{"formula": 4, "enumerated": 4, "agree": false}\n'
+        assert err == ('{"violation": "hook-count", "n": 7, "p": 5, "formula": 4, '
+                       '"enumerated": 4, "layered": 4}\n')
+
 
 class TestDegrees:
     def test_partition_query(self, capsys):
@@ -85,6 +95,14 @@ class TestHooks:
         assert code == 0
         assert row["count"] == row["formula"] == 4
         assert row["hooks"][0] == [7] and row["hooks"][1] == [6, 1]
+
+    def test_failing_check_exits_2(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli.hooks_mod, "count_pprime_hooks_formula", lambda n, p: 5)
+        code, out, err = run(capsys, "hooks", "--n", "7", "--p", "5")
+        assert code == 2
+        assert out == ('{"n": 7, "p": 5, "count": 4, "formula": 5, '
+                       '"hooks": [[7], [6, 1], [2, 1, 1, 1, 1, 1], [1, 1, 1, 1, 1, 1, 1]]}\n')
+        assert err == '{"violation": "hook-count", "n": 7, "p": 5, "formula": 5, "enumerated": 4}\n'
 
 
 class TestVerifyAn:
@@ -254,6 +272,22 @@ class TestLiePair:
         assert row["degrees"] == [1024, 1025]
         assert row["nondivisibility_ok"] and row["contract_regime"]
         assert row["chi1"]["origin"] == "steinberg"
+
+    def test_failing_check_exits_2_in_regime_only(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli.lie_mod, "nondivisibility_check", lambda d1, d2, p: False)
+        code, out, err = run(capsys, "lie-pair", "--family", "Suzuki", "--q", "32", "--p", "31")
+        row = json.loads(out)
+        assert code == 2
+        assert row["degrees"] == [1024, 1025]
+        assert row["contract_regime"] and not row["nondivisibility_ok"]
+        assert err == ('{"violation": "nondivisibility", "family": "Suzuki", "q": 32, "p": 31, '
+                       '"d1": 1024, "d2": 1025}\n')
+        # PSp4 at p = 13, not the prime of q = 5, is outside the contract regime
+        code, out, err = run(capsys, "lie-pair", "--family", "PSp4", "--q", "5", "--p", "13")
+        row = json.loads(out)
+        assert code == 0 and err == ""
+        assert row["degrees"] == [156, 104]
+        assert not row["contract_regime"] and not row["nondivisibility_ok"]
 
     def test_regime_error(self, capsys):
         code, _, err = run(capsys, "lie-pair", "--family", "Suzuki", "--q", "16", "--p", "5")

@@ -120,7 +120,7 @@ class TestAbacusPPrimeTest:
 
     @pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 13, 29, 31])
     def test_every_partition_up_to_30(self, p):
-        # p <= 3 runs many levels; p > 30 exercises the n < p shortcut
+        # p <= 3 runs many levels; for p > 30 and n < p there is no p^j <= n to check
         for n in range(0, 31):
             for lam in enumerate_partitions(n):
                 assert is_pprime_macdonald(lam, p) == is_pprime_oracle(lam, p), (lam, p)

@@ -19,6 +19,7 @@ from ppcd.partitions import (
     _pprime_pair_cores,
     _pprime_tuples,
     _slide,
+    _top_term,
     conjugate,
     divisible_hooks,
     e_core,
@@ -206,6 +207,15 @@ class TestPAdicExpansion:
         assert all(1 <= a <= p - 1 for a, _ in digits)
         exponents = [k for _, k in digits]
         assert exponents == sorted(set(exponents))
+
+    def test_top_term(self):
+        # n = a p^k + r with 1 <= a < p and 0 <= r < p^k makes p^k the
+        # largest power of p that is at most n
+        for p in (2, 3, 5, 7, 13):
+            powers = {p**k for k in range(1, 15)}
+            for n in range(p, 10**4 + 1):
+                e, a, r = _top_term(n, p)
+                assert e in powers and n == a * e + r and 1 <= a < p and 0 <= r < e
 
     def test_rejects_composite_and_small(self):
         for bad in (1, 0, -2, 4, 9, 15):
