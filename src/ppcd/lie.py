@@ -52,7 +52,6 @@ __all__ = [
     "gl_order",
     "in_contract_regime",
     "nondivisibility_check",
-    "not_both_divisible",
     "prime_power_decomposition",
     "prime_powers_upto",
     "qprime_part",
@@ -280,28 +279,6 @@ def _q_parity_error(fam: str, n: int, q: int) -> str | None:
     return None
 
 
-def not_both_divisible(family: str, n: int, q: int, p: int) -> bool:
-    """Whether p > 3 fails to divide at least one of the family's pair.
-
-    The parameters must be valid: p coprime to q, the rank in range and
-    q's parity matching the row.  A carried degree has denominator 1 or
-    2, so p divides it exactly when p divides its numerator.  The result
-    is not always True.  It is False on the A rows with q = -1 (mod p),
-    n odd and p | n - 3, and on the 2A rows with q = 1 (mod p) and the
-    same n, for example ("A", 13, 4, 5) and ("2A", 13, 11, 5).  ROADMAP.md
-    lists these rows as the open type-A defect of the classical grid.
-    """
-    require_prime_above_3(p)
-    require_prime_power(q)
-    if q % p == 0:
-        raise ValueError(f"p = {p} must not divide q = {q}")
-    parity_error = _q_parity_error(CLASSICAL_FAMILY_ALIASES.get(family, family), n, q)
-    if parity_error:
-        raise ValueError(parity_error)
-    d1, d2 = (f.evaluate_rational(q) for f in classical_unipotent_pair(family, n))
-    return d1.numerator % p != 0 or d2.numerator % p != 0
-
-
 class _ClassicalBlock(NamedTuple):
     """The rows of one (family, rank, q) of the classical grid.
 
@@ -366,10 +343,12 @@ def classical_grid(
     """One row per (family, rank, q, p) combination of the verification grid.
 
     Degrees are exact rationals (the halved rows are non-integral for
-    even q); ``ok`` is the not-both-divisible check.  The rows are
-    the (family, rank, q) blocks of ``_classical_blocks`` flattened:
-    d1 and d2 are fixed within a block, and p fails exactly when it
-    divides gcd(d1.numerator, d2.numerator).
+    even q).  The rows are the (family, rank, q) blocks of
+    ``_classical_blocks`` flattened, and ``ok`` is its not-both-divisible
+    check.  ``ok`` is False on the A rows with q = -1 (mod p), n odd and
+    p | n - 3, and on the 2A rows with q = 1 (mod p) and the same n, for
+    example (A, 13, 4, 5) and (2A, 13, 11, 5): the open type-A defect of
+    the classical grid that ROADMAP.md lists.
     """
     return [
         block.row(p, p not in block.failing)

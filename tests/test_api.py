@@ -1,9 +1,10 @@
 """The public names against their users.
 
 Every function the traced benchmark wraps must exist, every ``__all__``
-entry must resolve, and every name the package re-exports must be in its
-module's ``__all__``.  Deleting a name that ``perfbench/trace_layers.py``
-wraps would otherwise only show as a failed ``--trace 1`` run.  And
+entry must resolve, and the package exports each module's ``__all__``
+by star import, so ``__all__`` is the one list of public names.
+Deleting a name that ``perfbench/trace_layers.py`` wraps would
+otherwise only show as a failed ``--trace 1`` run.  And
 every call depends only on its arguments: no module reads the
 environment, and no cache grows without bound unless it is listed with
 its reason in ``UNBOUNDED_CACHES``.
@@ -44,17 +45,6 @@ def _load_trace_layers():
     return module
 
 
-def _package_imports():
-    """(module, name) for every ``from .module import name`` in ppcd/__init__.py."""
-    tree = ast.parse(Path(ppcd.__file__).read_text())
-    return [
-        (f"ppcd.{node.module}", alias.name)
-        for node in tree.body
-        if isinstance(node, ast.ImportFrom) and node.level == 1
-        for alias in node.names
-    ]
-
-
 TRACE_TARGETS = _load_trace_layers().TARGETS
 
 
@@ -75,12 +65,18 @@ def test_all_names_exist(name):
     assert [n for n in module.__all__ if not hasattr(module, n)] == []
 
 
-def test_package_imports_are_in_module_all():
-    imports = _package_imports()
+def test_package_exports_every_module_all():
+    tree = ast.parse(Path(ppcd.__file__).read_text())
+    imports = [node for node in tree.body if isinstance(node, (ast.Import, ast.ImportFrom))]
     assert imports
-    stray = [(module, name) for module, name in imports
-             if name not in importlib.import_module(module).__all__]
-    assert not stray
+    assert all(isinstance(node, ast.ImportFrom) and node.level == 1
+               and [alias.name for alias in node.names] == ["*"] for node in imports)
+    modules = sorted(f"ppcd.{node.module}" for node in imports)
+    assert modules == sorted(set(MODULES) - {"ppcd.cli"})
+    for module in map(importlib.import_module, modules):
+        stray = [name for name in module.__all__
+                 if getattr(ppcd, name, None) is not getattr(module, name)]
+        assert stray == [], module.__name__
 
 
 def _source_ids():

@@ -773,7 +773,7 @@ _PRECONDITIONS = [
     (scan_ext_degree_sets, (0, (5,)), "expected n >= 1, got 0"),
     (filter_ext_degree_sets, (0, (5,)), "expected n >= 1, got 0"),
     (ext_pprime_degree_set, (0, 5), "expected n >= 1, got 0"),
-    (lie.not_both_divisible, ("A", 5, 4, 3), "expected a prime p > 3, got 3"),
+    (verify_An_bound, (7, 3), "expected a prime p > 3, got 3"),
     (lie.exceptional_pair_record, ("Ree2G2", 9, 5),
      "small Ree groups need q^2 = 3^(2m+1) with m >= 1, got 9"),
 ]

@@ -4,6 +4,7 @@ pairs for the small families."""
 
 import hashlib
 import math
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -20,7 +21,6 @@ from ppcd.lie import (
     gl_order,
     in_contract_regime,
     nondivisibility_check,
-    not_both_divisible,
     prime_power_decomposition,
     prime_powers_upto,
     qprime_part,
@@ -232,26 +232,35 @@ class TestClassicalRows:
             classical_unipotent_pair("E8", 8)
 
 
+def _grid_block(family, n, q, p):
+    """The (family, n, q) block of the smallest grid holding it, primes up to p."""
+    blocks = lie._classical_blocks(q, p, [family], rank_max=n)
+    return next(b for b in blocks if (b.n, b.q) == (n, q))
+
+
 class TestNotBothDivisible:
+    """The grid's ``ok`` column, row by row and block by block."""
+
     def test_examples(self):
-        assert not_both_divisible("A", 4, 2, 5)
-        assert not_both_divisible("A", 4, 2, 7)
-        assert not_both_divisible("B", 3, 3, 5)
+        for family, n, q, p in [("A", 4, 2, 5), ("A", 4, 2, 7), ("B", 3, 3, 5)]:
+            rows = classical_grid(q, p, [family], rank_max=n)
+            assert [r["ok"] for r in rows if (r["n"], r["q"], r["p"]) == (n, q, p)] == [True]
 
     def test_type_a_rows_where_both_are_divisible(self):
         # A at q = -1 (mod p) and 2A at q = 1 (mod p), n odd, p | n - 3
-        assert not not_both_divisible("A", 13, 4, 5)
-        assert not not_both_divisible("2A", 13, 11, 5)
+        assert _grid_block("A", 13, 4, 5).failing == {5}
+        assert _grid_block("2A", 13, 11, 5).failing == {5}
 
     def test_parity_enforced(self):
-        with pytest.raises(ValueError):
-            not_both_divisible("B", 2, 4, 5)
-        with pytest.raises(ValueError):
-            not_both_divisible("B2-even", 2, 3, 5)
+        # B at rank 2 takes odd q only, B2-even even q only
+        blocks = lie._classical_blocks(32, 13, ["B", "B2-even"], rank_max=2)
+        assert {(b.family, b.q % 2) for b in blocks} == {("B", 1), ("B2-even", 0)}
 
     def test_p_must_not_divide_q(self):
-        with pytest.raises(ValueError):
-            not_both_divisible("A", 4, 5, 5)
+        assert _grid_block("A", 4, 5, 5).primes == ()
+        blocks = lie._classical_blocks(49, 13, rank_max=6)
+        assert all(b.primes == tuple(p for p in lie._primes_in(5, 13) if b.q % p) for b in blocks)
+        assert all(row["q"] % row["p"] for row in classical_grid(49, 13, rank_max=6))
 
     def test_small_grid(self):
         rows = classical_grid(9, 13)
@@ -338,9 +347,9 @@ class TestClassicalBlocks:
         (((((1, -1),), ()), (((1, -1),), ((1, 1),))), 11),
     ], ids=["d1-denominator", "d2-denominator", "d2-denominator-untested"])
     def test_prime_in_a_denominator(self, monkeypatch, pair, q):
-        # an inexact quotient raises in the grid, its row oracle and the
-        # single-row check alike; (q + 1)/(q - 1) is exact at q = 2, 3 and
-        # first inexact at q = 4, where the grid stops
+        # an inexact quotient raises in the grid and its row oracle alike;
+        # (q + 1)/(q - 1) is exact at q = 2, 3 and first inexact at q = 4,
+        # where the grid stops
         formulas = tuple(DegreeFormula(factors=f, denominator_factors=d) for f, d in pair)
         monkeypatch.setattr(lie, "classical_unipotent_pair", lambda family, n: formulas)
         with pytest.raises(ArithmeticError) as want:
@@ -349,8 +358,87 @@ class TestClassicalBlocks:
             classical_grid(q, 5, ["A"], rank_max=4)
         assert str(got.value) == str(want.value)
         assert str(got.value).endswith("does not divide exactly at q = 4")
-        with pytest.raises(ArithmeticError, match=rf"at q = {q}$"):
-            not_both_divisible("A", 4, q, 5)
+
+
+def _cyclotomic_indices(formula):
+    """The set of k with Phi_k(q) a factor of the formula's quotient.
+
+    q^m - 1 = prod_{k | m} Phi_k and q^m + 1 = prod_{k | 2m, k not | m}
+    Phi_k; the denominator's indices are subtracted, and the quotient
+    being a polynomial, no count may go negative.  The 1/2 of a halved
+    formula matters for no p > 3.
+    """
+    def indices(factors):
+        out = Counter()
+        for m, s in factors:
+            out.update(k for k in range(1, 2 * m + 1)
+                       if (m % k == 0 if s == 1 else (2 * m) % k == 0 and m % k))
+        return out
+
+    counts = indices(formula.factors)
+    counts.subtract(indices(formula.denominator_factors))
+    assert min(counts.values(), default=0) >= 0, formula
+    return {k for k, c in counts.items() if c}
+
+
+def _multiplicative_order(q, p):
+    d, x = 1, q % p
+    while x != 1:
+        x = x * q % p
+        d += 1
+    return d
+
+
+def _divides_phi(k, d, p):
+    """Whether k = d p^j for some j >= 0: for p prime to q and d the
+    order of q mod p, exactly when p | Phi_k(q)."""
+    if k % d:
+        return False
+    k //= d
+    while k % p == 0:
+        k //= p
+    return k == 1
+
+
+class TestCyclotomicIndices:
+    """A second method for the grid's ``ok`` column: the failing primes of
+    a block predicted from the formulas' cyclotomic indices and q mod p,
+    with no degree evaluated."""
+
+    def test_indices(self):
+        # A at n = 4: (q^3 - 1)/(q - 1) = Phi_3 and (q^4 - 1)/(q^2 - 1) = Phi_4;
+        # 2A by Ennola: (q^3 + 1)/(q + 1) = Phi_6 and Phi_4 again; D4:
+        # (q + 1)^3 (q^3 + 1)/2 and (q^2 + 1)^2 (q^3 - 1)/(2 (q - 1))
+        for family, want in [("A", [{3}, {4}]), ("2A", [{6}, {4}]), ("D4", [{2, 6}, {3, 4}])]:
+            assert [_cyclotomic_indices(f) for f in classical_unipotent_pair(family, 4)] == want
+
+    def test_prediction_matches_the_wide_grid(self):
+        blocks = lie._classical_blocks(128, 97, rank_max=40)
+        indices = {}
+        failing_rows = set()
+        for block in blocks:
+            key = (block.family, block.n)
+            if key not in indices:
+                indices[key] = [_cyclotomic_indices(f)
+                                for f in classical_unipotent_pair(*key)]
+            i1, i2 = indices[key]
+            predicted = set()
+            for p in block.primes:
+                d = _multiplicative_order(block.q, p)
+                if (any(_divides_phi(k, d, p) for k in i1)
+                        and any(_divides_phi(k, d, p) for k in i2)):
+                    predicted.add(p)
+            assert predicted == block.failing, block
+            failing_rows.update((block.family, block.n, block.q, p) for p in predicted)
+        # the rows ``classical_grid``'s docstring lists, and no others
+        listed = {
+            (b.family, b.n, b.q, p)
+            for b in blocks for p in b.primes
+            if b.n % 2 and (b.n - 3) % p == 0
+            and (b.family, b.q % p) in {("A", p - 1), ("2A", 1)}
+        }
+        assert len(failing_rows) == 99
+        assert failing_rows == listed
 
 
 class TestExceptionalPairs:
