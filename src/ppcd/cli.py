@@ -273,7 +273,7 @@ def cmd_ctbl(args, out) -> int:
         table = ctbl_mod.load_degree_table(document)
     else:
         table = ctbl_mod.bundled_table(args.bundled)
-    full = sorted(ctbl_mod.cd(table))
+    full = sorted(table.degree_set)
     coprime = sorted(ctbl_mod.cd_pprime(table, args.p))
     _emit_rows([{
         "name": table.name,

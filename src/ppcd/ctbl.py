@@ -20,7 +20,6 @@ __all__ = [
     "DegreeTable",
     "bundled_names",
     "bundled_table",
-    "cd",
     "cd_pprime",
     "load_degree_table",
     "pgl2_degree_set",
@@ -137,11 +136,6 @@ def load_degree_table(document: str) -> DegreeTable:
         degrees=tuple(sorted(seen.items())),
         order=order,
     )
-
-
-def cd(table: DegreeTable) -> set[int]:
-    """The set of character degrees."""
-    return set(table.degree_set)
 
 
 def cd_pprime(table: DegreeTable, p: int) -> set[int]:

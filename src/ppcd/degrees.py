@@ -24,7 +24,6 @@ __all__ = [
     "hook_degree",
     "int_valuation",
     "is_pprime_macdonald",
-    "is_pprime_oracle",
 ]
 
 
@@ -77,11 +76,6 @@ def degree_valuation(lam: Partition, p: int) -> int:
     if v < 0:
         raise ArithmeticError(f"negative valuation for {lam} at p = {p}")
     return v
-
-
-def is_pprime_oracle(lam: Partition, p: int) -> bool:
-    """Brute-force p'-degree test: the degree valuation is zero."""
-    return degree_valuation(lam, p) == 0
 
 
 def is_pprime_macdonald(lam: Partition, p: int) -> bool:

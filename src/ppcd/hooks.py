@@ -9,8 +9,8 @@ the one base-p table here, L[m] = v_p(m!), and the test, symmetric in
 x <-> n - 1 - x, runs on the lower half (``_lower_legs``), mirrored.
 Their agreement with the closed counting formula
 a_1 * p^{n_1} * prod(a_j + 1) is the main verification target.
-The public names that no CLI path reaches back named checks; the README
-lists each with its check.
+The public names that no CLI path reaches back named checks;
+``NOT_ON_A_CLI_PATH`` in tests/test_api.py lists each with its check.
 
 On top of that sit the quasihook degree families (n-c-t, c, 1^t) and
 ``verify_An_bound``, which certifies at least three distinct p'-degrees
@@ -75,7 +75,6 @@ __all__ = [
     "count_pprime_partitions_formula",
     "ext_pprime_degree_set",
     "filter_ext_degree_sets",
-    "halved_count_lower_bound",
     "hook_count_row",
     "list_pprime_hooks",
     "pprime_hook_xs",
@@ -83,7 +82,6 @@ __all__ = [
     "quasihook_monotone",
     "scan_ext_degree_sets",
     "verify_An_bound",
-    "verify_hook_counts",
 ]
 
 DEFAULT_SCAN_BOUND = 40
@@ -126,7 +124,7 @@ def pprime_hook_xs(n: int, p: int) -> list[int]:
 def list_pprime_hooks(n: int, p: int) -> list[Partition]:
     """The p'-degree hooks of n, by increasing leg length.
 
-    Backs the brute-force hook test against ``is_pprime_oracle``.
+    Backs the brute-force hook test against ``degree_valuation``.
     """
     return [hook_partition(n, x) for x in pprime_hook_xs(n, p)]
 
@@ -202,15 +200,6 @@ def hook_count_row(n: int, p: int) -> dict:
     )
     return {"n": n, "p": p, "formula": formula, "filtered": len(xs),
             "layered": len(layered), "ok": ok}
-
-
-def verify_hook_counts(n_max: int, primes: tuple[int, ...]) -> list[dict]:
-    """``hook_count_row`` for every n <= n_max and every prime given."""
-    rows = []
-    for p in primes:
-        require_prime(p)
-        rows.extend(hook_count_row(n, p) for n in range(1, n_max + 1))
-    return rows
 
 
 def quasihook(n: int, c: int, t: int) -> Partition:
@@ -392,11 +381,6 @@ def ext_pprime_degree_set(n: int, p: int, *, bound: int = DEFAULT_SCAN_BOUND) ->
     return degs
 
 
-def halved_count_lower_bound(n: int, p: int) -> int:
-    """floor(|p'-hooks of n| / 2): a lower bound for the extendable set."""
-    return count_pprime_hooks_formula(n, p) // 2
-
-
 @dataclass(frozen=True)
 class AnBoundResult:
     """Outcome of verify_An_bound: flag, witness degrees, strategy used."""
@@ -490,7 +474,7 @@ def _an_bound_case(n: int, p: int) -> str:
     gives a_1 <= 2.
     """
     if 2 * _short_legs(n, p)[-1] < n - 1:
-        return "hooks"
+        return "hook-degrees"
     if n % p in (1, 2):
         return f"{n % p}-mod-p"
     raise AssertionError(f"n = {n} has p'-hook count below 6 for p = {p} "
@@ -520,9 +504,8 @@ def verify_An_bound(n: int, p: int) -> AnBoundResult:
     require_prime_above_3(p)
 
     method = _an_bound_case(n, p)
-    if method == "hooks":
+    if method == "hook-degrees":
         wits = tuple(hook_degree(n, x) for x in (0, *_short_legs(n, p)))
-        method = "hook-degrees"
     else:
         wits = (1, *_quasihook_degrees(n, 1 + n % p, (0, 1)))
     return AnBoundResult(len(set(wits)) == 3 and all(d % p for d in wits), wits, method)

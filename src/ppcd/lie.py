@@ -36,10 +36,10 @@ from itertools import groupby
 from math import gcd, isqrt, prod
 from typing import NamedTuple
 
-from .partitions import is_prime, require_int, require_prime, require_prime_above_3
+from .partitions import (TRIAL_DIVISION_LIMIT, is_prime, require_int, require_prime,
+                         require_prime_above_3)
 
 __all__ = [
-    "CentralizerSpec",
     "DegreeFormula",
     "ExceptionalPairRecord",
     "classical_families",
@@ -47,7 +47,6 @@ __all__ = [
     "classical_grid",
     "classical_unipotent_pair",
     "exceptional_grid",
-    "exceptional_pair",
     "exceptional_pair_record",
     "gl_order",
     "in_contract_regime",
@@ -60,9 +59,12 @@ __all__ = [
 
 
 def prime_power_decomposition(q: int) -> tuple[int, int] | None:
-    """(r, a) with q = r^a and r prime, or None (also for a non-int or q < 2)."""
+    """(r, a) with q = r^a and r prime, or None (also for a non-int or q < 2);
+    q is factored by trial division, so ValueError above ``TRIAL_DIVISION_LIMIT``."""
     if not isinstance(q, int) or isinstance(q, bool) or q < 2:
         return None
+    if q > TRIAL_DIVISION_LIMIT:
+        raise ValueError(f"expected a prime power <= {TRIAL_DIVISION_LIMIT}, got {q}")
     r = next((f for f in range(2, isqrt(q) + 1) if q % f == 0), q)
     a = 0
     m = q
@@ -80,9 +82,9 @@ def require_prime_power(q: int) -> tuple[int, int]:
     return dec
 
 
-def prime_powers_upto(limit: int, *, minimum: int = 2) -> list[int]:
-    """All prime powers q with minimum <= q <= limit, increasing."""
-    return [q for q in range(max(minimum, 2), limit + 1) if prime_power_decomposition(q)]
+def prime_powers_upto(limit: int) -> list[int]:
+    """All prime powers q <= limit, increasing."""
+    return [q for q in range(2, limit + 1) if prime_power_decomposition(q)]
 
 
 def _primes_in(lo: int, hi: int) -> list[int]:
@@ -146,54 +148,26 @@ def gl_order(n: int, eps: int, q: int) -> int:
     return order
 
 
-@dataclass(frozen=True)
-class CentralizerSpec:
-    """Product of general linear/unitary factors inside GL_n^eps(q).
-
-    Each factor (rank, sign, twist) contributes GL_rank^sign(q^twist);
-    the ranks weighted by their twists must fill the ambient rank.
-    Backs acceptance criterion 7, through ``semisimple_degree``.
-    """
-
-    factors: tuple[tuple[int, int, int], ...]
-
-    def __post_init__(self) -> None:
-        factors = tuple(tuple(f) for f in self.factors)
-        object.__setattr__(self, "factors", factors)
-        for rank, sign, twist in factors:
-            if rank < 1 or twist < 1 or sign not in (1, -1):
-                raise ValueError(f"bad centralizer factor {(rank, sign, twist)!r}")
-
-    @property
-    def ambient_rank(self) -> int:
-        return sum(rank * twist for rank, _, twist in self.factors)
-
-    def order(self, q: int) -> int:
-        out = 1
-        for rank, sign, twist in self.factors:
-            out *= gl_order(rank, sign, q**twist)
-        return out
-
-
-def semisimple_degree(n: int, eps: int, q: int, r: int | None, c: CentralizerSpec) -> int:
+def semisimple_degree(
+    n: int, eps: int, q: int, centralizer: tuple[tuple[int, int, int], ...]
+) -> int:
     """Degree of the semisimple character attached to a centralizer.
 
-    The r'-part of [GL_n^eps(q) : C], r the defining prime of q unless
-    overridden.  A centralizer whose order does not divide the group
-    order is rejected.
+    The centralizer C is a product of factors (rank, sign, twist), each
+    GL_rank^sign(q^twist) inside GL_n^eps(q) and checked by ``gl_order``;
+    the ranks weighted by their twists must fill n.  The degree is the
+    r'-part of [GL_n^eps(q) : C], r the defining prime of q.  A centralizer
+    whose order does not divide the group order is rejected.
     Backs acceptance criterion 7: the closed forms for GL_2, GL_3, GU_3.
     """
-    char, _ = require_prime_power(q)
-    if r is None:
-        r = char
-    require_prime(r)
-    if c.ambient_rank != n:
-        raise ValueError(
-            f"centralizer fills rank {c.ambient_rank}, ambient rank is {n}"
-        )
-    index, rem = divmod(gl_order(n, eps, q), c.order(q))
+    r, _ = require_prime_power(q)
+    filled = sum(rank * twist for rank, _, twist in centralizer)
+    if filled != n:
+        raise ValueError(f"centralizer fills rank {filled}, ambient rank is {n}")
+    order = prod(gl_order(rank, sign, q**twist) for rank, sign, twist in centralizer)
+    index, rem = divmod(gl_order(n, eps, q), order)
     if rem:
-        raise ArithmeticError(f"centralizer order does not divide the group order: {c}")
+        raise ArithmeticError(f"centralizer order does not divide the group order: {centralizer}")
     return qprime_part(index, r)
 
 
@@ -270,13 +244,12 @@ def classical_unipotent_pair(family: str, n: int) -> tuple[DegreeFormula, Degree
     return f1, f2
 
 
-def _q_parity_error(fam: str, n: int, q: int) -> str | None:
-    """Why the row of (canonical family, rank) does not take q, or None."""
-    if fam == "B" and n == 2 and q % 2 == 0:
-        return "the rank-2 B/C row needs odd q; use B2-even instead"
-    if fam == "B2-even" and q % 2 == 1:
-        return "the B2-even row needs even q"
-    return None
+def _takes_q(fam: str, n: int, q: int) -> bool:
+    """Whether the row of (canonical family, rank) takes q: the rank-2
+    B/C row needs odd q, and the B2-even row even q."""
+    if fam == "B2-even":
+        return q % 2 == 0
+    return not (fam == "B" and n == 2 and q % 2 == 0)
 
 
 class _ClassicalBlock(NamedTuple):
@@ -324,7 +297,7 @@ def _classical_blocks(
         for n in range(lo, top + 1):
             f1, f2 = classical_unipotent_pair(fam, n)
             for q, primes in primes_of.items():
-                if _q_parity_error(fam, n, q):
+                if not _takes_q(fam, n, q):
                     continue
                 d1 = f1.evaluate_rational(q)
                 d2 = f2.evaluate_rational(q)
@@ -568,11 +541,6 @@ def exceptional_pair_record(family: str, q: int, p: int) -> ExceptionalPairRecor
     build, _ = _small_family(family)
     require_prime_above_3(p)
     return build(q, p)
-
-
-def exceptional_pair(family: str, q: int, p: int) -> tuple[int, int]:
-    """The selected pair (chi1(1), chi2(1)) for (family, q, p)."""
-    return exceptional_pair_record(family, q, p).degrees
 
 
 def nondivisibility_check(d1: int, d2: int, p: int) -> bool:

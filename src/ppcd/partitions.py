@@ -39,6 +39,7 @@ from typing import Iterable, Iterator
 __all__ = [
     "DEFAULT_ENUMERATION_BOUND",
     "Partition",
+    "TRIAL_DIVISION_LIMIT",
     "conjugate",
     "divisible_hooks",
     "e_core",
@@ -56,6 +57,10 @@ __all__ = [
 # Partition enumeration refuses n above this unless the caller raises the
 # bound explicitly; p(60) is about 966k, already a deliberate request.
 DEFAULT_ENUMERATION_BOUND = 60
+
+# The largest p or q that require_prime and lie.prime_power_decomposition test by
+# trial division: about 0.1 s on CPython 3.11, ten times as long per two more digits.
+TRIAL_DIVISION_LIMIT = 2**40
 
 
 def is_prime(n: int) -> bool:
@@ -84,7 +89,10 @@ def require_int(x, lo: int, message: str, shown=None) -> int:
 
 
 def require_prime(p: int) -> int:
-    if not is_prime(require_int(p, 2, "expected a prime, got {!r}")):
+    """p, if it is a prime <= ``TRIAL_DIVISION_LIMIT``; else ValueError."""
+    if require_int(p, 2, "expected a prime, got {!r}") > TRIAL_DIVISION_LIMIT:
+        raise ValueError(f"expected a prime <= {TRIAL_DIVISION_LIMIT}, got {p}")
+    if not is_prime(p):
         raise ValueError(f"expected a prime, got {p!r}")
     return p
 

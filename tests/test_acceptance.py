@@ -7,20 +7,19 @@ tests/test_acceptance.py`` (add ``-s`` to see the lines on success).
 from math import factorial
 
 from ppcd.ctbl import bundled_table, cd_pprime, pgl2_degree_set
-from ppcd.degrees import degree, is_pprime_macdonald, is_pprime_oracle
+from ppcd.degrees import degree, degree_valuation, is_pprime_macdonald
 from ppcd.hooks import (
+    count_pprime_hooks_formula,
     count_pprime_partitions_formula,
-    halved_count_lower_bound,
+    hook_count_row,
     quasihook_monotone,
     scan_ext_degree_sets,
     verify_An_bound,
-    verify_hook_counts,
 )
 from ppcd.lie import (
-    CentralizerSpec,
     classical_grid,
     exceptional_grid,
-    exceptional_pair,
+    exceptional_pair_record,
     nondivisibility_check,
     prime_powers_upto,
     semisimple_degree,
@@ -44,13 +43,14 @@ def test_criterion_1_macdonald_equals_valuation_oracle():
     for n in range(0, 31):
         for lam in enumerate_partitions(n):
             for p in PRIMES:
-                if is_pprime_macdonald(lam, p) != is_pprime_oracle(lam, p):
+                if is_pprime_macdonald(lam, p) != (degree_valuation(lam, p) == 0):
                     violations.append((lam.parts, p))
     _report(1, violations, "recursive p'-test == valuation oracle, n <= 30, p in {5,7,11,13}")
 
 
 def test_criterion_2_hook_counting_formula():
-    violations = [row for row in verify_hook_counts(2000, PRIMES) if not row["ok"]]
+    rows = (hook_count_row(n, p) for p in PRIMES for n in range(1, 2001))
+    violations = [row for row in rows if not row["ok"]]
     _report(2, violations, "formula == filter == layered p'-hook sets, n <= 2000")
 
 
@@ -64,7 +64,7 @@ def test_criterion_3_alternating_group_bound():
     for n in range(5, 41):
         sets = scan_ext_degree_sets(n, PRIMES)
         for p in PRIMES:
-            if len(sets[p]) < halved_count_lower_bound(n, p):
+            if len(sets[p]) < count_pprime_hooks_formula(n, p) // 2:
                 violations.append((n, p, "halved-bound"))
     _report(3, violations, ">= 3 extendable p'-degrees for 7 <= n <= 100 and exact-mode halved bound for n <= 40")
 
@@ -122,7 +122,7 @@ def test_criterion_7_semisimple_closed_forms():
             (3, -1, (GL1_2, GU1), (q + 1) * (q * q - q + 1)),
         )
         for n, eps, factors, expected in cases:
-            got = semisimple_degree(n, eps, q, None, CentralizerSpec(factors))
+            got = semisimple_degree(n, eps, q, factors)
             if got != expected:
                 violations.append((n, eps, q, factors, got, expected))
     _report(7, violations, "centralizer-index degrees reproduce the closed forms for all prime powers q <= 49")
@@ -131,7 +131,7 @@ def test_criterion_7_semisimple_closed_forms():
 def test_criterion_8_exceptional_pair_contract():
     violations = []
     for family, q, p in exceptional_grid(128, 97):
-        d1, d2 = exceptional_pair(family, q, p)
+        d1, d2 = exceptional_pair_record(family, q, p).degrees
         if not nondivisibility_check(d1, d2, p):
             violations.append((family, q, p, d1, d2))
     _report(8, violations, "p divides neither degree and d2 never divides d1, valid (family, q <= 128, p <= 97)")
@@ -163,7 +163,8 @@ def test_criterion_10_mckay_count_formula():
                 if generated != formula:
                     violations.append((n, p, "generator", generated, formula))
             if n <= 25:
-                filtered = sum(1 for lam in enumerate_partitions(n) if is_pprime_oracle(lam, p))
+                filtered = sum(1 for lam in enumerate_partitions(n)
+                               if degree_valuation(lam, p) == 0)
                 if filtered != formula:
                     violations.append((n, p, "oracle", filtered, formula))
     _report(

@@ -7,7 +7,8 @@ Deleting a name that ``perfbench/trace_layers.py`` wraps would
 otherwise only show as a failed ``--trace 1`` run.  And
 every call depends only on its arguments: no module reads the
 environment, and no cache grows without bound unless it is listed with
-its reason in ``UNBOUNDED_CACHES``.
+its reason in ``UNBOUNDED_CACHES``.  Each public name that no CLI path
+reaches is listed in ``NOT_ON_A_CLI_PATH`` with the check it backs.
 """
 
 import ast
@@ -30,6 +31,29 @@ UNBOUNDED_CACHES = {
     "partitions._multipartitions",
 }
 MODULES = ("ppcd.partitions", "ppcd.degrees", "ppcd.hooks", "ppcd.lie", "ppcd.ctbl", "ppcd.cli")
+# The public names that no CLI path reaches, each with the check it backs;
+# "criterion k" is acceptance criterion k in tests/test_acceptance.py.
+NOT_ON_A_CLI_PATH = {
+    "partitions.conjugate": "deg lambda = deg lambda', and the quasihook mirror rule",
+    "partitions.divisible_hooks": "the James-Kerber weight identity, with e_core",
+    "partitions.e_core": "Macdonald's test, and the James-Kerber weight identity",
+    "partitions.e_core_by_removal": "the oracle of e_core",
+    "partitions.hook_partition": "the brute-force hook test",
+    "partitions.is_self_conjugate": "the brute-force extendable sets, the quasihook "
+                                    "self-conjugacy rule and filter_ext_degree_sets",
+    "degrees.binomial_coprime_lucas": "the Lucas check of the Legendre filter",
+    "degrees.is_pprime_macdonald": "criterion 1, against degree_valuation",
+    "hooks.count_pprime_partitions_formula": "criterion 10",
+    "hooks.filter_ext_degree_sets": "the definition the exact extendable sets are tested against",
+    "hooks.list_pprime_hooks": "the brute-force hook test",
+    "hooks.quasihook": "criterion 4",
+    "hooks.quasihook_monotone": "criterion 4",
+    "lie.classical_grid": "criterion 6; its ok column is predicted from cyclotomic indices",
+    "lie.exceptional_grid": "criterion 8",
+    "lie.gl_order": "criterion 7, through semisimple_degree",
+    "lie.semisimple_degree": "criterion 7",
+    "ctbl.pgl2_degree_set": "criterion 9",
+}
 
 
 def _load_trace_layers():
@@ -128,3 +152,57 @@ def test_every_cache_is_bounded_or_listed(path):
         and any(_unbounded_cache(d) for d in node.decorator_list)
     }
     assert unbounded <= UNBOUNDED_CACHES, sorted(unbounded - UNBOUNDED_CACHES)
+
+
+def _cli_reach() -> set[str]:
+    """Every "module.name" of ppcd that a CLI path reaches, by syntax.
+
+    The walk starts at ``cli.main``, ``cli.build_parser`` and each
+    ``cli.cmd_*`` and follows every name a reached definition mentions:
+    module-level names, relative imports and ``<mod>_mod.<name>``
+    attributes of an imported module.
+    """
+    defs, aliases = {}, {}
+    for path in SOURCES:
+        for node in ast.parse(path.read_text()).body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                defs[path.stem, node.name] = node
+            elif isinstance(node, ast.Assign):
+                for target in node.targets:
+                    if isinstance(target, ast.Name):
+                        defs[path.stem, target.id] = node
+            elif isinstance(node, ast.ImportFrom) and node.level == 1:
+                for alias in node.names:
+                    # "from . import ctbl as ctbl_mod" binds a module: (ctbl, None)
+                    source = (node.module, alias.name) if node.module else (alias.name, None)
+                    aliases[path.stem, alias.asname or alias.name] = source
+    todo = [key for key in defs if key[0] == "cli"
+            and (key[1] in ("main", "build_parser") or key[1].startswith("cmd_"))]
+    seen = set()
+    while todo:
+        key = todo.pop()
+        if key in seen:
+            continue
+        seen.add(key)
+        if key in aliases:
+            if aliases[key][1] is not None:
+                todo.append(aliases[key])
+            continue
+        if key not in defs:
+            continue
+        for node in ast.walk(defs[key]):
+            if isinstance(node, ast.Name):
+                todo.append((key[0], node.id))
+            elif isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+                source = aliases.get((key[0], node.value.id))
+                if source is not None and source[1] is None:
+                    todo.append((source[0], node.attr))
+    return {f"{module}.{name}" for module, name in seen}
+
+
+def test_public_names_off_the_cli_paths_are_listed():
+    public = {f"{name.removeprefix('ppcd.')}.{attr}"
+              for name in MODULES if name != "ppcd.cli"
+              for attr in importlib.import_module(name).__all__}
+    assert "cli.main" in _cli_reach()
+    assert sorted(public - _cli_reach()) == sorted(NOT_ON_A_CLI_PATH)

@@ -11,7 +11,6 @@ from ppcd.ctbl import (
     DegreeTable,
     bundled_names,
     bundled_table,
-    cd,
     cd_pprime,
     load_degree_table,
     pgl2_degree_set,
@@ -203,7 +202,7 @@ class TestBundled:
 
 class TestDegreeSets:
     def test_cd(self):
-        assert cd(bundled_table("A5")) == {1, 3, 4, 5}
+        assert bundled_table("A5").degree_set == {1, 3, 4, 5}
 
     def test_cd_pprime_intro_examples(self):
         a5 = bundled_table("A5")
@@ -219,8 +218,8 @@ class TestDegreeSets:
         table = bundled_table("A6")
         for p in (2, 3, 5, 7, 11):
             sub = cd_pprime(table, p)
-            assert sub <= cd(table)
-            assert (sub == cd(table)) == all(d % p for d in cd(table))
+            assert sub <= table.degree_set
+            assert (sub == table.degree_set) == all(d % p for d in table.degree_set)
 
     def test_requires_prime(self):
         with pytest.raises(ValueError):

@@ -15,7 +15,6 @@ from ppcd.degrees import (
     hook_degree,
     int_valuation,
     is_pprime_macdonald,
-    is_pprime_oracle,
 )
 from ppcd.hooks import pprime_hook_xs, quasihook
 from ppcd.partitions import Partition, conjugate, enumerate_partitions, is_self_conjugate
@@ -94,7 +93,7 @@ class TestValuations:
 
 class TestPPrimeTests:
     def test_examples(self):
-        for op in (is_pprime_macdonald, is_pprime_oracle):
+        for op in (is_pprime_macdonald, lambda lam, p: degree_valuation(lam, p) == 0):
             assert op(Partition([4, 1]), 5) is True
             assert op(Partition([3, 1, 1]), 5) is True
             assert op(Partition([2, 2, 1]), 5) is False
@@ -103,12 +102,12 @@ class TestPPrimeTests:
         for n in range(0, 17):
             for lam in enumerate_partitions(n):
                 for p in PRIMES:
-                    assert is_pprime_macdonald(lam, p) == is_pprime_oracle(lam, p)
+                    assert is_pprime_macdonald(lam, p) == (degree_valuation(lam, p) == 0)
 
     @given(partitions(max_n=30), st.sampled_from(PRIMES))
     @settings(max_examples=250, deadline=None)
     def test_oracle_equivalence_sampled(self, lam, p):
-        assert is_pprime_macdonald(lam, p) == is_pprime_oracle(lam, p)
+        assert is_pprime_macdonald(lam, p) == (degree_valuation(lam, p) == 0)
 
     def test_small_n_always_pprime(self):
         for lam in enumerate_partitions(4):
@@ -123,12 +122,12 @@ class TestAbacusPPrimeTest:
         # p <= 3 runs many levels; for p > 30 and n < p there is no p^j <= n to check
         for n in range(0, 31):
             for lam in enumerate_partitions(n):
-                assert is_pprime_macdonald(lam, p) == is_pprime_oracle(lam, p), (lam, p)
+                assert is_pprime_macdonald(lam, p) == (degree_valuation(lam, p) == 0), (lam, p)
 
     @given(partitions(max_n=80), st.sampled_from((2, 3, 5, 7, 11, 13, 29, 31, 79)))
     @settings(max_examples=300, deadline=None)
     def test_sampled_up_to_80(self, lam, p):
-        assert is_pprime_macdonald(lam, p) == is_pprime_oracle(lam, p)
+        assert is_pprime_macdonald(lam, p) == (degree_valuation(lam, p) == 0)
 
     @pytest.mark.parametrize("p", PRIMES)
     def test_quasihooks_of_the_constructive_grid(self, p):
@@ -137,7 +136,7 @@ class TestAbacusPPrimeTest:
             for c in (2, 3):
                 for t in range(n - 2 * c + 1):
                     lam = quasihook(n, c, t)
-                    assert is_pprime_macdonald(lam, p) == is_pprime_oracle(lam, p), (lam, p)
+                    assert is_pprime_macdonald(lam, p) == (degree_valuation(lam, p) == 0), (lam, p)
 
 
 class TestLucas:
@@ -156,7 +155,7 @@ class TestLucas:
             for n in range(1, 61):
                 for x in range(n):
                     lam = Partition([n - x] + [1] * x)
-                    assert binomial_coprime_lucas(n - 1, x, p) == is_pprime_oracle(lam, p)
+                    assert binomial_coprime_lucas(n - 1, x, p) == (degree_valuation(lam, p) == 0)
 
     def test_agrees_with_kummer_filter_large(self):
         for p in PRIMES:

@@ -158,6 +158,11 @@ CORPUS: list[list[str]] = [
     *(["lie-pair", "--family", "PSL2", "--q", q, "--p", p]
       for q, p in (("5", "5"), ("25", "5"), ("5", "7"), ("125", "11"), ("32", "5"),
                    ("16", "7"), ("9", "5"))),
+    # refusals above the trial-division limit 2**40 (exit 1): a p in
+    # require_prime, a q in prime_power_decomposition, a p of lie-pair
+    ["count", "--n", "7", "--p", "1000000000000000000000007"],
+    ["lie-pair", "--family", "PSL2", "--q", "1000000000000000000000007", "--p", "5"],
+    ["lie-pair", "--family", "PSL2", "--q", "7", "--p", "1000000000000000000000007"],
 ]
 
 

@@ -13,7 +13,7 @@ import pytest
 
 from ppcd import cli, lie
 from ppcd import hooks as hooks_mod
-from ppcd.degrees import degree, factorial_valuation, is_pprime_macdonald, is_pprime_oracle
+from ppcd.degrees import degree, degree_valuation, factorial_valuation, is_pprime_macdonald
 from ppcd.hooks import (
     DEFAULT_SCAN_BOUND,
     _an_bound_case,
@@ -26,7 +26,6 @@ from ppcd.hooks import (
     count_pprime_partitions_formula,
     ext_pprime_degree_set,
     filter_ext_degree_sets,
-    halved_count_lower_bound,
     list_pprime_hooks,
     pprime_hook_xs,
     quasihook,
@@ -34,7 +33,6 @@ from ppcd.hooks import (
     scan_ext_degree_sets,
     verify_An_bound,
     hook_count_row,
-    verify_hook_counts,
 )
 from ppcd.partitions import (
     Partition,
@@ -128,7 +126,7 @@ class TestHookFilter:
                 chosen = {lam.parts for lam in list_pprime_hooks(n, p)}
                 for x in range(n):
                     lam = Partition([n - x] + [1] * x)
-                    assert (lam.parts in chosen) == is_pprime_oracle(lam, p)
+                    assert (lam.parts in chosen) == (degree_valuation(lam, p) == 0)
 
     def test_conjugation_closed_and_selfconjugate_parity(self):
         for n in range(1, 201):
@@ -177,12 +175,12 @@ class TestCountFormula:
             assert count_pprime_hooks_formula(5**k, 5) == 5**k
 
     def test_three_way_agreement_small(self):
-        for row in verify_hook_counts(300, PRIMES):
-            assert row["ok"], row
+        for p in PRIMES:
+            for n in range(1, 301):
+                row = hook_count_row(n, p)
+                assert row["ok"], row
 
     def test_single_row_matches_grid(self):
-        grid = verify_hook_counts(60, (5, 7))
-        assert grid == [hook_count_row(n, p) for p in (5, 7) for n in range(1, 61)]
         assert hook_count_row(7, 5) == {"n": 7, "p": 5, "formula": 4, "filtered": 4,
                                         "layered": 4, "ok": True}
 
@@ -231,11 +229,6 @@ class TestCountFormula:
         finally:
             tracemalloc.stop()
         assert peak < 1_000_000
-
-    def test_halved_bound(self):
-        assert halved_count_lower_bound(7, 5) == 2
-        assert halved_count_lower_bound(6, 5) == 1
-        assert halved_count_lower_bound(25, 5) == 12
 
 
 class TestQuasihooks:
@@ -406,7 +399,7 @@ class TestExtDegreeSet:
             for p in (5, 7):
                 expected = set()
                 for lam in enumerate_partitions(n):
-                    if not is_self_conjugate(lam) and is_pprime_oracle(lam, p):
+                    if not is_self_conjugate(lam) and degree_valuation(lam, p) == 0:
                         expected.add(degree(lam))
                 assert ext_pprime_degree_set(n, p) == expected
 
@@ -524,7 +517,7 @@ class TestAnBound:
         seen = {_an_bound_case(n, p)
                 for p in range(5, 98) if is_prime(p)
                 for n in range(7, 2000)}
-        assert seen == {"hooks", "1-mod-p", "2-mod-p"}
+        assert seen == {"hook-degrees", "1-mod-p", "2-mod-p"}
 
     def test_non_hook_cases_are_1_or_2_mod_p(self):
         # the lemma of the case split: with fewer than 6 p'-hooks,
@@ -532,7 +525,7 @@ class TestAnBound:
         for p in range(5, 98):
             if is_prime(p):
                 for n in range(7, 10001):
-                    if _an_bound_case(n, p) != "hooks":
+                    if _an_bound_case(n, p) != "hook-degrees":
                         assert n % p in (1, 2), (n, p)
 
     def test_lemma_by_digits(self):
@@ -562,7 +555,7 @@ class TestAnBound:
         for p in range(5, 98):
             if is_prime(p):
                 for n in range(7, 10001):
-                    assert ((_an_bound_case(n, p) == "hooks")
+                    assert ((_an_bound_case(n, p) == "hook-degrees")
                             == (count_pprime_hooks_formula(n, p) >= 6)), (n, p)
 
     def test_short_legs_are_the_filters_next_two(self):
@@ -599,7 +592,7 @@ class TestAnBound:
             if not is_prime(p):
                 continue
             for n in range(7, 3001):
-                if _an_bound_case(n, p) == "hooks":
+                if _an_bound_case(n, p) == "hook-degrees":
                     continue
                 r = n % p
                 pair = _closed_form_pair(n, r)
@@ -668,7 +661,7 @@ class TestAnBound:
             if not is_prime(p):
                 continue
             for n in range(7, 2001):
-                if _an_bound_case(n, p) == "hooks":
+                if _an_bound_case(n, p) == "hook-degrees":
                     result = verify_An_bound(n, p)
                     xs = pprime_hook_xs(n, p)[:3]
                     assert result.witnesses == tuple(comb(n - 1, x) for x in xs), (n, p)
@@ -685,7 +678,7 @@ class TestAnBound:
         for n in range(5, 26):
             sets = scan_ext_degree_sets(n, PRIMES)
             for p in PRIMES:
-                assert len(sets[p]) >= halved_count_lower_bound(n, p)
+                assert len(sets[p]) >= count_pprime_hooks_formula(n, p) // 2
 
 
 class TestNegativeControls:
@@ -733,7 +726,7 @@ class TestNegativeControls:
         rows = {int(n): (int(found), ok) for n, _, _, _, found, ok in
                 (line.split(",") for line in out.splitlines())}
         failing = [n for n, (_, ok) in rows.items() if ok == "false"]
-        assert failing == [n for n in range(7, 32) if _an_bound_case(n, 5) != "hooks"]
+        assert failing == [n for n in range(7, 32) if _an_bound_case(n, 5) != "hook-degrees"]
         assert failing == [7, 11, 16, 21, 26, 27, 31]
         assert rows[26] == (1, "false")
         record = json.loads(err)

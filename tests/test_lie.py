@@ -4,6 +4,7 @@ pairs for the small families."""
 
 import hashlib
 import math
+import re
 from collections import Counter
 from fractions import Fraction
 
@@ -11,12 +12,10 @@ import pytest
 
 from ppcd import lie
 from ppcd.lie import (
-    CentralizerSpec,
     DegreeFormula,
     classical_grid,
     classical_unipotent_pair,
     exceptional_grid,
-    exceptional_pair,
     exceptional_pair_record,
     gl_order,
     in_contract_regime,
@@ -26,6 +25,7 @@ from ppcd.lie import (
     qprime_part,
     semisimple_degree,
 )
+from ppcd.partitions import TRIAL_DIVISION_LIMIT
 
 PRIME_POWERS_49 = prime_powers_upto(49)
 
@@ -45,6 +45,15 @@ class TestPrimePowers:
         assert prime_power_decomposition(7) == (7, 1)
         assert prime_power_decomposition(12) is None
         assert prime_power_decomposition(1) is None
+
+    def test_trial_division_limit(self):
+        limit = TRIAL_DIVISION_LIMIT
+        assert prime_power_decomposition(limit) == (2, 40)
+        assert prime_power_decomposition(limit - 87) == (limit - 87, 1)
+        for q in (limit + 1, 10**24 + 7):
+            message = f"expected a prime power <= {limit}, got {q}"
+            with pytest.raises(ValueError, match="^" + re.escape(message) + "$"):
+                prime_power_decomposition(q)
 
     def test_upto(self):
         assert prime_powers_upto(10) == [2, 3, 4, 5, 7, 8, 9]
@@ -88,43 +97,41 @@ class TestGLOrder:
 class TestSemisimpleDegree:
     @pytest.mark.parametrize("q", PRIME_POWERS_49)
     def test_closed_forms(self, q):
-        assert semisimple_degree(2, 1, q, None, CentralizerSpec((GL(1), GL(1)))) == q + 1
-        assert semisimple_degree(2, 1, q, None, CentralizerSpec((GL(1, 2),))) == q - 1
+        assert semisimple_degree(2, 1, q, (GL(1), GL(1))) == q + 1
+        assert semisimple_degree(2, 1, q, (GL(1, 2),)) == q - 1
         cyc_plus = q * q + q + 1
         cyc_minus = q * q - q + 1
         assert (
-            semisimple_degree(3, 1, q, None, CentralizerSpec((GL(1), GL(1), GL(1))))
+            semisimple_degree(3, 1, q, (GL(1), GL(1), GL(1)))
             == (q + 1) * cyc_plus
         )
         assert (
-            semisimple_degree(3, 1, q, None, CentralizerSpec((GL(1, 2), GL(1))))
+            semisimple_degree(3, 1, q, (GL(1, 2), GL(1)))
             == (q - 1) * cyc_plus
         )
         assert (
-            semisimple_degree(3, -1, q, None, CentralizerSpec((GU(1), GU(1), GU(1))))
+            semisimple_degree(3, -1, q, (GU(1), GU(1), GU(1)))
             == (q - 1) * cyc_minus
         )
         assert (
-            semisimple_degree(3, -1, q, None, CentralizerSpec((GL(1, 2), GU(1))))
+            semisimple_degree(3, -1, q, (GL(1, 2), GU(1)))
             == (q + 1) * cyc_minus
         )
 
-    def test_explicit_defining_prime(self):
-        assert semisimple_degree(2, 1, 25, 5, CentralizerSpec((GL(1), GL(1)))) == 26
-
     def test_rank_mismatch(self):
         with pytest.raises(ValueError):
-            semisimple_degree(3, 1, 5, None, CentralizerSpec((GL(1), GL(1))))
+            semisimple_degree(3, 1, 5, (GL(1), GL(1)))
 
     def test_invalid_centralizer_order(self):
         with pytest.raises(ArithmeticError):
-            semisimple_degree(2, 1, 5, None, CentralizerSpec((GU(1), GU(1))))
+            semisimple_degree(2, 1, 5, (GU(1), GU(1)))
 
     def test_centralizer_validation(self):
-        with pytest.raises(ValueError):
-            CentralizerSpec(((0, 1, 1),))
-        with pytest.raises(ValueError):
-            CentralizerSpec(((1, 2, 1),))
+        # each bad factor leaves the rank filled, so gl_order rejects it
+        for bad, message in (((0, 1, 1), "rank must be"), ((1, 2, 1), "sign must be"),
+                             ((1, 1, 0), "expected a prime power")):
+            with pytest.raises(ValueError, match=message):
+                semisimple_degree(1 + bad[0] * bad[2], 1, 5, (bad, GL(1)))
 
 
 class TestDegreeFormula:
@@ -283,7 +290,7 @@ def _classical_grid_oracle(q_max, p_max, families=None, rank_max=10):
         for n in range(lo, top + 1):
             formulas = lie.classical_unipotent_pair(fam, n)
             for q in qs:
-                if lie._q_parity_error(fam, n, q):
+                if not lie._takes_q(fam, n, q):
                     continue
                 d1 = formulas[0].evaluate_rational(q)
                 d2 = formulas[1].evaluate_rational(q)
@@ -443,9 +450,9 @@ class TestCyclotomicIndices:
 
 class TestExceptionalPairs:
     def test_named_examples(self):
-        assert exceptional_pair("PSL2", 7, 5) == (8, 6)
-        assert exceptional_pair("PSp4", 5, 13) == (156, 104)
-        assert exceptional_pair("Suzuki", 32, 31) == (1024, 1025)
+        assert exceptional_pair_record("PSL2", 7, 5).degrees == (8, 6)
+        assert exceptional_pair_record("PSp4", 5, 13).degrees == (156, 104)
+        assert exceptional_pair_record("Suzuki", 32, 31).degrees == (1024, 1025)
 
     def test_degrees_exist_in_known_tables(self):
         known = {
@@ -460,63 +467,64 @@ class TestExceptionalPairs:
                 r, _ = prime_power_decomposition(q)
                 if p == r and r <= 3:
                     continue
-                d1, d2 = exceptional_pair(family, q, p)
+                d1, d2 = exceptional_pair_record(family, q, p).degrees
                 assert d1 in degs and d2 in degs, (family, q, p, d1, d2)
 
     def test_defining_characteristic_cases(self):
-        assert exceptional_pair("PSL2", 7, 7) == (8, 6)
-        assert exceptional_pair("PSL2", 25, 5) == (26, 24)
-        assert exceptional_pair("PSL2", 125, 5) == (124, 126)
-        assert exceptional_pair("PSL2", 5, 5) == (4, 3)
-        assert exceptional_pair("PSL3", 5, 5) == (6 * 31, 4 * 31)
-        assert exceptional_pair("PSU3", 5, 5) == (6 * 21, 4 * 21)
-        assert exceptional_pair("PSp4", 7, 7) == (8 * 50, 6 * 50)
+        assert exceptional_pair_record("PSL2", 7, 7).degrees == (8, 6)
+        assert exceptional_pair_record("PSL2", 25, 5).degrees == (26, 24)
+        assert exceptional_pair_record("PSL2", 125, 5).degrees == (124, 126)
+        assert exceptional_pair_record("PSL2", 5, 5).degrees == (4, 3)
+        assert exceptional_pair_record("PSL3", 5, 5).degrees == (6 * 31, 4 * 31)
+        assert exceptional_pair_record("PSU3", 5, 5).degrees == (6 * 21, 4 * 21)
+        assert exceptional_pair_record("PSp4", 7, 7).degrees == (8 * 50, 6 * 50)
 
     def test_nondefining_small_families(self):
-        assert exceptional_pair("PSL3", 2, 7) == (8, 6)
-        assert exceptional_pair("PSL3", 4, 5) == (64, 63)
-        assert exceptional_pair("PSU3", 3, 7) == (27, 6)
-        assert exceptional_pair("PSU3", 8, 7) == (512, 513)
-        assert exceptional_pair("PSL2", 8, 7) == (8, 9)
-        assert exceptional_pair("PSL2", 16, 17) == (16, 15)
-        assert exceptional_pair("PSL2", 27, 13) == (27, 28)
+        assert exceptional_pair_record("PSL3", 2, 7).degrees == (8, 6)
+        assert exceptional_pair_record("PSL3", 4, 5).degrees == (64, 63)
+        assert exceptional_pair_record("PSU3", 3, 7).degrees == (27, 6)
+        assert exceptional_pair_record("PSU3", 8, 7).degrees == (512, 513)
+        assert exceptional_pair_record("PSL2", 8, 7).degrees == (8, 9)
+        assert exceptional_pair_record("PSL2", 16, 17).degrees == (16, 15)
+        assert exceptional_pair_record("PSL2", 27, 13).degrees == (27, 28)
 
     def test_exceptional_type_constants(self):
-        assert exceptional_pair("Ree2G2", 27, 13) == (27**3, 27**2 - 27 + 1)
+        assert exceptional_pair_record("Ree2G2", 27, 13).degrees == (27**3, 27**2 - 27 + 1)
         q = 5
-        assert exceptional_pair("G2", q, 5) == (q**4 + q**2 + 1, q**3 - 1)
-        assert exceptional_pair("F4", q, 5) == (
+        assert exceptional_pair_record("G2", q, 5).degrees == (q**4 + q**2 + 1, q**3 - 1)
+        assert exceptional_pair_record("F4", q, 5).degrees == (
             q**8 + q**4 + 1,
             (q**2 + 1) * (q**4 + 1) * (q**8 + q**4 + 1),
         )
-        assert exceptional_pair("3D4", q, 5) == (
+        assert exceptional_pair_record("3D4", q, 5).degrees == (
             q**8 + q**4 + 1,
             (q + 1) * (q**8 + q**4 + 1),
         )
-        assert exceptional_pair("G2", 7, 7)[1] == 7**3 + 1
+        assert exceptional_pair_record("G2", 7, 7).degrees[1] == 7**3 + 1
 
     def test_family_alias(self):
-        assert exceptional_pair("PSL3e", 2, 7) == exceptional_pair("PSL3", 2, 7)
+        assert (exceptional_pair_record("PSL3e", 2, 7).degrees
+                == exceptional_pair_record("PSL3", 2, 7).degrees)
 
     def test_regime_rejections(self):
         with pytest.raises(ValueError):
-            exceptional_pair("Suzuki", 32, 5)  # p must divide q^2 - 1
+            exceptional_pair_record("Suzuki", 32, 5).degrees  # p must divide q^2 - 1
         with pytest.raises(ValueError):
-            exceptional_pair("Suzuki", 16, 5)  # even power of 2
+            exceptional_pair_record("Suzuki", 16, 5).degrees  # even power of 2
         with pytest.raises(ValueError):
-            exceptional_pair("Ree2G2", 27, 7)
+            exceptional_pair_record("Ree2G2", 27, 7).degrees
         with pytest.raises(ValueError):
-            exceptional_pair("PSU3", 2, 5)  # not simple
+            exceptional_pair_record("PSU3", 2, 5).degrees  # not simple
         with pytest.raises(ValueError):
-            exceptional_pair("PSL2", 3, 5)  # not simple
+            exceptional_pair_record("PSL2", 3, 5).degrees  # not simple
         with pytest.raises(ValueError):
-            exceptional_pair("PSp4", 9, 5)  # char 3 not carried
+            exceptional_pair_record("PSp4", 9, 5).degrees  # char 3 not carried
         with pytest.raises(ValueError):
-            exceptional_pair("G2", 7, 5)  # non-defining not carried
+            exceptional_pair_record("G2", 7, 5).degrees  # non-defining not carried
         with pytest.raises(ValueError):
-            exceptional_pair("PSL2", 7, 3)
+            exceptional_pair_record("PSL2", 7, 3).degrees
         with pytest.raises(ValueError):
-            exceptional_pair("M11", 11, 5)
+            exceptional_pair_record("M11", 11, 5).degrees
 
     def test_record_metadata(self):
         rec = exceptional_pair_record("Suzuki", 32, 31)
@@ -568,7 +576,9 @@ def _exceptional_grid_oracle(q_max, p_max):
     the family table; its order is the one the benchmark recorded."""
     ps = lie._primes_in(5, p_max)
     combos = []
-    for q in prime_powers_upto(q_max, minimum=4):
+    for q in prime_powers_upto(q_max):
+        if q < 4:
+            continue
         r, _ = prime_power_decomposition(q)
         for p in ps:
             if p != r and q % p == 0:
@@ -577,7 +587,9 @@ def _exceptional_grid_oracle(q_max, p_max):
                 continue
             combos.append(("PSL2", q, p))
     for fam, q_min in (("PSL3", 2), ("PSU3", 3)):
-        for q in prime_powers_upto(q_max, minimum=q_min):
+        for q in prime_powers_upto(q_max):
+            if q < q_min:
+                continue
             r, _ = prime_power_decomposition(q)
             for p in ps:
                 if p == r and r <= 3:
@@ -585,7 +597,9 @@ def _exceptional_grid_oracle(q_max, p_max):
                 if p != r and q % p == 0:
                     continue
                 combos.append((fam, q, p))
-    for q in prime_powers_upto(q_max, minimum=5):
+    for q in prime_powers_upto(q_max):
+        if q < 5:
+            continue
         r, _ = prime_power_decomposition(q)
         if r > 3 and r <= p_max:
             for fam in ("PSp4", "G2", "F4", "TriD4"):
@@ -629,7 +643,7 @@ class TestExceptionalGrid:
         twisted = [row for row in combos if row[0] in ("Suzuki", "Ree2G2")]
         assert {q for _, q, _ in twisted} == {8, 32, 512, 2048, 27, 243}
         for family, q, p in twisted:
-            d1, d2 = exceptional_pair(family, q, p)
+            d1, d2 = exceptional_pair_record(family, q, p).degrees
             assert nondivisibility_check(d1, d2, p), (family, q, p, d1, d2)
             assert in_contract_regime(family, q, p)
 
@@ -646,7 +660,7 @@ class TestExceptionalGrid:
 
     def test_small_grid_contract(self):
         for family, q, p in exceptional_grid(32, 31):
-            d1, d2 = exceptional_pair(family, q, p)
+            d1, d2 = exceptional_pair_record(family, q, p).degrees
             assert nondivisibility_check(d1, d2, p), (family, q, p, d1, d2)
             assert in_contract_regime(family, q, p)
 

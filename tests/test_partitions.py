@@ -6,9 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ppcd.degrees import is_pprime_oracle
+from ppcd.degrees import degree_valuation
 from ppcd.hooks import count_pprime_partitions_formula
 from ppcd.partitions import (
+    TRIAL_DIVISION_LIMIT,
     Partition,
     _abacus,
     _abacus_slides,
@@ -30,6 +31,7 @@ from ppcd.partitions import (
     is_self_conjugate,
     p_adic_expansion,
     require_int,
+    require_prime,
 )
 
 
@@ -59,6 +61,20 @@ class TestRequireInt:
     def test_shown_value(self):
         with pytest.raises(ValueError, match=r"^parts: \(3, 0\)$"):
             require_int(0, 1, "parts: {!r}", (3, 0))
+
+
+class TestTrialDivisionLimit:
+    def test_values_up_to_the_limit_are_tested(self):
+        # 2**40 - 87 is the largest prime below the limit, 2**40 itself composite
+        assert require_prime(TRIAL_DIVISION_LIMIT - 87) == TRIAL_DIVISION_LIMIT - 87
+        with pytest.raises(ValueError, match=f"^expected a prime, got {TRIAL_DIVISION_LIMIT}$"):
+            require_prime(TRIAL_DIVISION_LIMIT)
+
+    @pytest.mark.parametrize("p", [TRIAL_DIVISION_LIMIT + 1, 10**24 + 7])
+    def test_values_above_the_limit_are_refused(self, p):
+        message = f"expected a prime <= {TRIAL_DIVISION_LIMIT}, got {p}"
+        with pytest.raises(ValueError, match="^" + re.escape(message) + "$"):
+            require_prime(p)
 
 
 class TestPartitionType:
@@ -265,7 +281,8 @@ class TestPPrimeGenerator:
         for n in range(27):
             generated = list(_pprime_tuples(n, p))
             assert len(generated) == len(set(generated)), (n, p)
-            expected = {lam.parts for lam in enumerate_partitions(n) if is_pprime_oracle(lam, p)}
+            expected = {lam.parts for lam in enumerate_partitions(n)
+                        if degree_valuation(lam, p) == 0}
             assert set(generated) == expected, (n, p)
 
 
@@ -369,7 +386,7 @@ class TestPPrimePairs:
     def test_count_is_half_mckay_minus_self_conjugate(self, p):
         for n in [*range(31), 49, 50]:
             self_conjugate = [parts for parts in _self_conjugate_tuples(n)
-                              if is_pprime_oracle(Partition(parts), p)]
+                              if degree_valuation(Partition(parts), p) == 0]
             pairs = sum(1 for *_, quotients in _pprime_pair_cores(n, p) for _ in quotients)
             assert 2 * pairs + len(self_conjugate) == count_pprime_partitions_formula(n, p), (n, p)
 
