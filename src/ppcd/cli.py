@@ -201,7 +201,10 @@ def _emit_blocks(blocks, fmt: str, out):
     are the str(p) of its primes, shared by the blocks of one q.  A
     block with no prime writes nothing.  Only a block with a failing
     prime renders the failing template and is written row by row.
-    Returns the first failing (block, p) in emission order, or None.
+    ``blocks`` may be any iterable, read once; nothing of a block is
+    kept after it is written but its primes' texts and, for the first
+    failing block, the block itself.  Returns the first failing
+    (block, p) in emission order, or None.
     """
     write = out.write
     texts_of = {}

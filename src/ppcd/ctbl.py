@@ -14,7 +14,7 @@ import json
 from dataclasses import dataclass
 from importlib import resources
 
-from .partitions import is_prime, require_int, require_prime
+from .partitions import TRIAL_DIVISION_LIMIT, is_prime, require_int, require_prime
 
 __all__ = [
     "DegreeTable",
@@ -145,8 +145,14 @@ def cd_pprime(table: DegreeTable, p: int) -> set[int]:
 
 
 def pgl2_degree_set(p: int) -> set[int]:
-    """Degree set {1, p-1, p, p+1} of PGL2(p) for a prime p > 5."""
-    if not is_prime(require_int(p, 6, "expected a prime p > 5, got {!r}")):
+    """Degree set {1, p-1, p, p+1} of PGL2(p) for a prime p > 5.
+
+    p is tested by trial division, so like ``require_prime`` it is
+    refused above ``TRIAL_DIVISION_LIMIT`` before any division is tried.
+    """
+    if require_int(p, 6, "expected a prime p > 5, got {!r}") > TRIAL_DIVISION_LIMIT:
+        raise ValueError(f"expected a prime <= {TRIAL_DIVISION_LIMIT}, got {p}")
+    if not is_prime(p):
         raise ValueError(f"expected a prime p > 5, got {p!r}")
     return {1, p - 1, p, p + 1}
 

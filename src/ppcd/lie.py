@@ -34,7 +34,7 @@ from functools import partial
 from fractions import Fraction
 from itertools import groupby
 from math import gcd, isqrt, prod
-from typing import NamedTuple
+from typing import Iterator, NamedTuple
 
 from .partitions import (TRIAL_DIVISION_LIMIT, is_prime, require_int, require_prime,
                          require_prime_above_3)
@@ -277,34 +277,38 @@ def _classical_blocks(
     p_max: int,
     families: list[str] | None = None,
     rank_max: int = 10,
-) -> list[_ClassicalBlock]:
+) -> Iterator[_ClassicalBlock]:
     """The classical grid as (family, rank, q) blocks, in row order.
 
-    Every family is checked before any block is built.  Within a block
-    d1 and d2 are fixed, so with g = gcd(d1.numerator, d2.numerator) a
-    prime p fails exactly when p | g; one gcd against the product of the
-    grid primes finds them all.
+    Every family is checked, and the prime powers q <= q_max found,
+    before this returns; the blocks themselves are built one at a time
+    as the returned iterator is read, so only the current one is held.
+    Within a block d1 and d2 are fixed, so with g = gcd(d1.numerator,
+    d2.numerator) a prime p fails exactly when p | g; one gcd against
+    the product of the grid primes finds them all.
     """
     fams = families if families is not None else classical_families()
     ranges = [classical_family_rank_range(family) for family in fams]
     ps = _primes_in(5, p_max)
     ps_product = prod(ps)
     primes_of = {q: tuple(p for p in ps if q % p) for q in prime_powers_upto(q_max)}
-    blocks = []
-    for family, (lo, hi) in zip(fams, ranges):
-        fam = CLASSICAL_FAMILY_ALIASES.get(family, family)
-        top = min(rank_max, hi) if hi is not None else rank_max
-        for n in range(lo, top + 1):
-            f1, f2 = classical_unipotent_pair(fam, n)
-            for q, primes in primes_of.items():
-                if not _takes_q(fam, n, q):
-                    continue
-                d1 = f1.evaluate_rational(q)
-                d2 = f2.evaluate_rational(q)
-                g = gcd(d1.numerator, d2.numerator, ps_product)
-                failing = frozenset(p for p in primes if g % p == 0) if g > 1 else frozenset()
-                blocks.append(_ClassicalBlock(family, n, q, d1, d2, primes, failing))
-    return blocks
+
+    def blocks():
+        for family, (lo, hi) in zip(fams, ranges):
+            fam = CLASSICAL_FAMILY_ALIASES.get(family, family)
+            top = min(rank_max, hi) if hi is not None else rank_max
+            for n in range(lo, top + 1):
+                f1, f2 = classical_unipotent_pair(fam, n)
+                for q, primes in primes_of.items():
+                    if not _takes_q(fam, n, q):
+                        continue
+                    d1 = f1.evaluate_rational(q)
+                    d2 = f2.evaluate_rational(q)
+                    g = gcd(d1.numerator, d2.numerator, ps_product)
+                    failing = frozenset(p for p in primes if g % p == 0) if g > 1 else frozenset()
+                    yield _ClassicalBlock(family, n, q, d1, d2, primes, failing)
+
+    return blocks()
 
 
 def classical_grid(
@@ -317,8 +321,10 @@ def classical_grid(
 
     Degrees are exact rationals (the halved rows are non-integral for
     even q).  The rows are the (family, rank, q) blocks of
-    ``_classical_blocks`` flattened, and ``ok`` is its not-both-divisible
-    check.  ``ok`` is False on the A rows with q = -1 (mod p), n odd and
+    ``_classical_blocks`` flattened as the stream yields them, and ``ok``
+    is its not-both-divisible check; unlike that stream, the returned
+    list grows with the grid (``verify-lie`` writes the blocks
+    instead).  ``ok`` is False on the A rows with q = -1 (mod p), n odd and
     p | n - 3, and on the 2A rows with q = 1 (mod p) and the same n, for
     example (A, 13, 4, 5) and (2A, 13, 11, 5): the open type-A defect of
     the classical grid that ROADMAP.md lists.

@@ -1,10 +1,12 @@
 """CLI surface: subcommand outputs, exit codes, byte determinism."""
 
+import gc
 import io
 import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
@@ -29,6 +31,16 @@ def run(capsys, *argv):
     code = cli.main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+class _NullOut:
+    """A stdout that drops what is written."""
+
+    def write(self, text):
+        return len(text)
+
+    def flush(self):
+        pass
 
 
 class TestCount:
@@ -255,6 +267,27 @@ class TestVerifyLie:
         assert json.loads(err) == {"violation": "lie-not-both-divisible",
                                    **{key: first[key] for key in ("family", "n", "q", "p",
                                                                   "d1", "d2")}}
+
+    @pytest.mark.parametrize("argv", [
+        # the benchmark grid and a wider rank range on fewer q; both exit
+        # 2 on the rank-13 A witness
+        ["--q-max", "512", "--p-max", "199", "--rank-max", "16"],
+        ["--q-max", "128", "--p-max", "97", "--rank-max", "40"],
+    ], ids=["benchmark-grid", "rank-40"])
+    def test_verify_lie_memory_is_one_block(self, monkeypatch, argv):
+        # the blocks are written as they are built, so the peak is one
+        # block and the per-q prime tuples; either grid held whole is
+        # over 4 MB
+        monkeypatch.setattr(sys, "stdout", _NullOut())
+        assert cli.main(["verify-lie", "--q-max", "9", "--p-max", "13"]) == 0
+        gc.collect()
+        tracemalloc.start()
+        try:
+            assert cli.main(["verify-lie", *argv]) == 2
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000
 
 
 class TestLiePair:

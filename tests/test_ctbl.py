@@ -1,6 +1,7 @@
 """Degree-table ingestion: schema validation, order checks, bundled data."""
 
 import json
+import re
 from importlib import resources
 
 import pytest
@@ -15,6 +16,7 @@ from ppcd.ctbl import (
     load_degree_table,
     pgl2_degree_set,
 )
+from ppcd.partitions import TRIAL_DIVISION_LIMIT, require_prime
 
 
 def doc(**kwargs):
@@ -241,3 +243,20 @@ class TestPGL2:
         for bad in (5, 2, 9, -7):
             with pytest.raises(ValueError):
                 pgl2_degree_set(bad)
+
+    def test_small_or_composite_message(self):
+        for bad in (9, 5):
+            with pytest.raises(ValueError, match=rf"^expected a prime p > 5, got {bad}$"):
+                pgl2_degree_set(bad)
+
+    def test_largest_prime_below_the_trial_division_limit(self):
+        p = TRIAL_DIVISION_LIMIT - 87
+        assert pgl2_degree_set(p) == {1, p - 1, p, p + 1}
+
+    @pytest.mark.parametrize("p", [TRIAL_DIVISION_LIMIT + 1, 10**24 + 7])
+    def test_refused_above_the_trial_division_limit(self, p):
+        # refused before any trial division, with require_prime's message
+        message = f"expected a prime <= {TRIAL_DIVISION_LIMIT}, got {p}"
+        for check in (pgl2_degree_set, require_prime):
+            with pytest.raises(ValueError, match="^" + re.escape(message) + "$"):
+                check(p)

@@ -322,7 +322,7 @@ class TestClassicalBlocks:
         assert list(classical_grid(4, 5, ["A"])[0]) == ["family", "n", "q", "p", "d1", "d2", "ok"]
 
     def test_blocks(self):
-        blocks = lie._classical_blocks(4, 5, ["A"], rank_max=13)
+        blocks = list(lie._classical_blocks(4, 5, ["A"], rank_max=13))
         assert [(b.family, b.n, b.q) for b in blocks][:3] == [("A", 4, 2), ("A", 4, 3), ("A", 4, 4)]
         assert all(b.primes == (5,) for b in blocks)
         assert [(b.n, b.q) for b in blocks if b.failing] == [(13, 4)]
@@ -420,7 +420,7 @@ class TestCyclotomicIndices:
             assert [_cyclotomic_indices(f) for f in classical_unipotent_pair(family, 4)] == want
 
     def test_prediction_matches_the_wide_grid(self):
-        blocks = lie._classical_blocks(128, 97, rank_max=40)
+        blocks = list(lie._classical_blocks(128, 97, rank_max=40))
         indices = {}
         failing_rows = set()
         for block in blocks:
