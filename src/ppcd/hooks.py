@@ -39,7 +39,9 @@ of them is built.  Each is a p^k-core mu and a quotient, at most a bead
 moves away on mu's abacus, and of each conjugate pair one member is visited,
 picked by its core and its quotient index (``_pprime_pair_cores``).
 Its degree is n!/H(mu) times one Frobenius ratio per moved bead and one
-per pair of moved beads (``_core_degrees``).  The oracle the generated
+per pair of moved beads (``_core_degrees``).  The quotients of a core
+come as a prefix tree of bead moves, walked once per core, so a prefix
+that many quotients share is computed once.  The oracle the generated
 sets are tested against, ``filter_ext_degree_sets``, is the definition:
 ``degree`` of every partition of n that is not self-conjugate, kept per
 prime p that does not divide it.
@@ -246,10 +248,12 @@ def scan_ext_degree_sets(n: int, primes: tuple[int, ...]) -> dict[int, set[int]]
     n! Delta(X) / prod_{x in X} x! on any beta set X, so ``_core_degrees``
     takes each degree from n!/H(mu) by one ratio per moved bead
     x -> x + e v and one per pair of moved beads, over mu's abacus padded
-    to L beads, and ends with one exact division; no partition of n is
-    built.  Below p the core is empty, e = 1, and the whole partition is
-    the quotient on one runner: the partitions stream from the
-    enumeration and the formula is taken on each one's own beta set.
+    to L beads, each prefix of moves once per core on the quotients'
+    prefix tree, and ends with one exact division per degree; no
+    partition of n is built.  Below p the core is empty, e = 1, and the
+    whole partition is the quotient on one runner: the partitions stream
+    from the enumeration and the formula is taken on each one's own beta
+    set.
     """
     primes = tuple(primes)
     for p in primes:
@@ -266,15 +270,18 @@ def scan_ext_degree_sets(n: int, primes: tuple[int, ...]) -> dict[int, set[int]]
 
 def _core_degrees(fact: int, mu: tuple[int, ...], e: int, a: int, quotients) -> Iterator[int]:
     """n!/H(lam) for each lam with e-core mu and its quotient in
-    ``quotients`` (bead moves of ``_multipartitions(e, a)``), n! = fact.
+    ``quotients``, a ``_QuotientTree`` of ``_multipartitions(e, a)``, in
+    quotient order; n! = fact.
 
     By Frobenius, deg lam = n! Delta(X) / prod_{x in X} x! on any beta
     set X of lam, Delta(X) the product of the differences of X; on mu's
-    beta set X0 it is n!/H(mu).  Each move x -> y multiplies it by its
-    ratio from ``_bead_moves``, and each pair of moved beads by
-    (x_i - x_j)(y_i - y_j) / ((y_j - x_i)(y_i - x_j)), zero factors left
-    out (a bead may land where another one left).  For e = 1 (below p)
-    mu is empty and each quotient is lam itself, whose own beta set
+    beta set X0 it is n!/H(mu), the value of the root.  The tree is
+    walked once, parents first: a node's value is its parent's times the
+    ratio of its move x -> y from ``_bead_moves`` and, for each move
+    x2 -> y2 above it, (x - x2)(y - y2) / ((y2 - x)(y - x2)), zero
+    factors left out (a bead may land where another one left).  So each
+    shared prefix of moves is computed once per core.  For e = 1 (below p) mu is empty and
+    ``quotients`` streams each lam itself, whose own beta set
     {lam_i + len(lam) - 1 - i} gives the formula directly.  Each degree
     is the absolute value of one exact division.
     """
@@ -288,34 +295,40 @@ def _core_degrees(fact: int, mu: tuple[int, ...], e: int, a: int, quotients) -> 
                                       f"for n = {a}")
             yield deg
         return
-    table = _bead_moves(mu, e, a)
-    base = fact // prod(_hook_lengths(mu))
-    for moves in quotients:
-        num, den = base, 1
-        done = []
-        for move in moves:
-            x, y, move_num, move_den = table[move]
-            num *= move_num
-            den *= move_den
-            for x2, y2 in done:
-                num *= (x - x2) * (y - y2)
-                den *= ((y2 - x) or 1) * ((y - x2) or 1)
-            done.append((x, y))
-        deg, rem = divmod(num, den)
+    xs, ys, move_nums, move_dens = _bead_moves(mu, e, a, quotients.moves)
+    nums = [fact // prod(_hook_lengths(mu))]  # node values, the root first
+    dens = [1]
+    for m, up, above in zip(quotients.move, quotients.parent, quotients.above):
+        x = xs[m]
+        y = ys[m]
+        num = move_nums[m]
+        den = move_dens[m]
+        for m2 in above:
+            x2 = xs[m2]
+            y2 = ys[m2]
+            num *= (x - x2) * (y - y2)
+            den *= ((y2 - x) or 1) * ((y - x2) or 1)
+        nums.append(nums[up] * num)
+        dens.append(dens[up] * den)
+    for t in quotients.leaves:
+        deg, rem = divmod(nums[t], dens[t])
         if rem:
-            raise ArithmeticError(f"bead moves {moves} on the {e}-core {mu} give no "
-                                  f"integral degree for n = {sum(mu) + e * a}")
+            raise ArithmeticError(f"bead moves {quotients.path(t)} on the {e}-core {mu} give "
+                                  f"no integral degree for n = {sum(mu) + e * a}")
         yield abs(deg)
 
 
-def _bead_moves(mu: tuple[int, ...], e: int, a: int) -> dict:
-    """(i, j, v) -> (x, y, num, den) for every move of ``_multipartitions(e, a)``
-    on ``_abacus(mu, e, a)``, whose beta set X0 holds mu's beads above m
+def _bead_moves(mu: tuple[int, ...], e: int, a: int,
+                moves) -> tuple[list[int], list[int], list[int], list[int]]:
+    """(xs, ys, nums, dens): for each move (i, j, v) of ``moves``, the flat
+    moves of ``_multipartitions(e, a)``, in their order, on
+    ``_abacus(mu, e, a)``, whose beta set X0 holds mu's beads above m
     padding beads {0 .. m-1}: the j-th lowest bead x of runner i goes to
     y = x + e v, and num/den is Q(y) x! / (Q(x) y! e v) in lowest terms,
     Q(z) = prod_{c in X0, c != z} |z - c|.  The padding contributes
     z!/(z-m)! to Q(z) for z >= m and z! (m-1-z)! for z < m, so Q(z)/z!
-    takes a product over mu's beads only.
+    takes a product over mu's beads only.  The moves of one bead are
+    adjacent, so x's Q is taken once per (i, j).
     """
     beta, runners = _abacus(mu, e, a)
     core = beta[: len(mu)]
@@ -325,18 +338,25 @@ def _bead_moves(mu: tuple[int, ...], e: int, a: int) -> dict:
         c = prod(abs(z - b) for b in core if b != z)
         return (c, factorial(z - m)) if z >= m else (c * factorial(m - 1 - z), 1)
 
-    table = {}
-    for i, runner in enumerate(runners):
-        for j in range(a):
-            x = beta[runner[j]]
+    xs: list[int] = []
+    ys: list[int] = []
+    nums: list[int] = []
+    dens: list[int] = []
+    bead = None
+    for i, j, v in moves:
+        if bead != (i, j):
+            bead = i, j
+            x = beta[runners[i][j]]
             x_num, x_den = q_over_factorial(x)
-            for v in range(1, a // (j + 1) + 1):
-                y = x + e * v
-                y_num, y_den = q_over_factorial(y)
-                num, den = y_num * x_den, x_num * y_den * e * v
-                g = gcd(num, den)
-                table[i, j, v] = x, y, num // g, den // g
-    return table
+        y = x + e * v
+        y_num, y_den = q_over_factorial(y)
+        num, den = y_num * x_den, x_num * y_den * e * v
+        g = gcd(num, den)
+        xs.append(x)
+        ys.append(y)
+        nums.append(num // g)
+        dens.append(den // g)
+    return xs, ys, nums, dens
 
 
 def filter_ext_degree_sets(n: int, primes: tuple[int, ...]) -> dict[int, set[int]]:

@@ -15,7 +15,8 @@ checks, not any CLI path: the naive rim-hook remover
 identity.  The same abacus, run in reverse, generates the p'-degree
 partitions of n directly from the p-core tower (``_pprime_tuples``)
 without visiting the others: each is a p^k-core and a quotient, and
-``_multipartitions`` holds every quotient as its flat bead moves.
+``_multipartitions`` holds the quotients as a prefix tree of flat bead
+moves (``_QuotientTree``), each shared prefix one node.
 ``_abacus`` lays out the core's abacus on a bead count divisible by e,
 where lam' has core mu' and the reflected, conjugated quotient
 ((nu^(e-1-i))')_i (James and Kerber 2.7), so ``_pprime_pair_cores``
@@ -32,7 +33,6 @@ byte for byte.
 from __future__ import annotations
 
 from functools import lru_cache, total_ordering
-from itertools import chain
 from operator import sub
 from typing import Iterable, Iterator
 
@@ -308,18 +308,70 @@ def _partition_tuples(n: int) -> Iterator[tuple[int, ...]]:
         yield r
 
 
+class _QuotientTree:
+    """A sequence of quotients as a prefix tree of flat bead moves.
+
+    ``moves[m]`` is the move (i, j, v) of flat index m.  Node 0 is the
+    root, the empty prefix.  Node t >= 1 is at position t - 1 of the
+    parallel tuples ``move``, ``parent`` and ``above``: it extends the
+    prefix of node ``parent[t - 1]`` by move ``move[t - 1]``, and
+    ``above[t - 1]`` lists the moves of that prefix, root first.  Each
+    prefix is one node, and every parent comes before its children.
+    Quotient k is the prefix of node ``leaves[k]``; iteration gives the
+    quotients back as their moves, in order.
+    """
+
+    __slots__ = ("moves", "move", "parent", "above", "leaves")
+
+    def __init__(self, moves: tuple[tuple[int, int, int], ...],
+                 quotients: Iterable[tuple[int, ...]]):
+        """The tree of ``quotients``, each a tuple of flat move indices."""
+        node: dict[tuple[int, int], int] = {}
+        prefix: list[tuple[int, ...]] = [()]
+        move: list[int] = []
+        parent: list[int] = []
+        leaves: list[int] = []
+        for quotient in quotients:
+            t = 0
+            for m in quotient:
+                child = node.get((t, m))
+                if child is None:
+                    child = node[t, m] = len(prefix)
+                    move.append(m)
+                    parent.append(t)
+                    prefix.append(prefix[t] + (m,))
+                t = child
+            leaves.append(t)
+        self.moves = moves
+        self.move = tuple(move)
+        self.parent = tuple(parent)
+        self.above = tuple(map(prefix.__getitem__, parent))
+        self.leaves = tuple(leaves)
+
+    def path(self, t: int) -> tuple[tuple[int, int, int], ...]:
+        """The moves from the root to node t."""
+        if not t:
+            return ()
+        return tuple(map(self.moves.__getitem__, self.above[t - 1] + (self.move[t - 1],)))
+
+    def __iter__(self) -> Iterator[tuple[tuple[int, int, int], ...]]:
+        return map(self.path, self.leaves)
+
+
 @lru_cache(maxsize=None)
-def _multipartitions(e: int, a: int) -> tuple[tuple[tuple[tuple[int, int, int], ...], ...],
-                                               tuple[int, ...]]:
-    """Every e-multipartition of a as its bead moves, and the conjugate index.
+def _multipartitions(e: int, a: int) -> tuple[_QuotientTree, tuple[int, ...], _QuotientTree]:
+    """(tree, conj, halves): every e-multipartition of a as its bead moves.
 
     A multipartition (nu^(0), ..., nu^(e-1)) is the tuple of its moves
     (i, j, nu^(i)_j), runner i increasing and then j: slide the j-th
     lowest bead of runner i down nu^(i)_j levels.  The empty tuple is the
-    only one of 0.  ``conj[k]`` is the index of ((nu^(e-1-i))')_i: on
+    only one of 0.  ``tree`` holds them as a ``_QuotientTree``, the
+    moves in order of i, j and then v >= 1, so each shared prefix of
+    moves is one node.  ``conj[k]`` is the index of ((nu^(e-1-i))')_i: on
     abacuses with bead counts divisible by e, the conjugate of the
     partition with e-core mu and quotient number k has e-core mu' and
-    quotient number conj[k] (James and Kerber 2.7).
+    quotient number conj[k] (James and Kerber 2.7).  ``halves`` is the
+    tree of the quotients k < conj[k] alone, in the same order.
     """
     partitions_of: dict[int, tuple[tuple[int, ...], ...]] = {}
 
@@ -343,14 +395,14 @@ def _multipartitions(e: int, a: int) -> tuple[tuple[tuple[tuple[int, int, int], 
     conj = tuple(index[tuple((e - 1 - runner, conjugates[parts])
                              for runner, parts in reversed(shape))]
                  for shape in shapes)
-    # one object per move (i, j, v) and per component, shared by the
-    # quotients that hold them
-    move = [[[(i, j, v) for v in range(a // (j + 1) + 1)] for j in range(a)] for i in range(e)]
-    components = {(i, parts): tuple(map(list.__getitem__, move[i], parts))
-                  for shape in shapes for i, parts in shape}
-    quotients = tuple(tuple(chain.from_iterable(map(components.__getitem__, shape)))
-                      for shape in shapes)
-    return quotients, conj
+    # the j-th part of a partition of at most a is at most a // (j + 1)
+    moves = tuple((i, j, v) for i in range(e) for j in range(a)
+                  for v in range(1, a // (j + 1) + 1))
+    flat = {move: m for m, move in enumerate(moves)}
+    quotients = [tuple(flat[i, j, v] for i, parts in shape for j, v in enumerate(parts))
+                 for shape in shapes]
+    halves = (quotient for k, quotient in enumerate(quotients) if k < conj[k])
+    return _QuotientTree(moves, quotients), conj, _QuotientTree(moves, halves)
 
 
 def _pprime_tuples(n: int, p: int) -> Iterator[tuple[int, ...]]:
@@ -378,14 +430,16 @@ def _pprime_pair_cores(n: int, p: int) -> Iterator[tuple[tuple[int, ...], int, i
     p'-partitions of n with lam != lam', and no self-conjugate partition.
 
     Each lam is given by its p^k-core mu and its quotient, as the bead
-    moves of ``_multipartitions(e, a)`` on ``_abacus(mu, e, a)``.  The
-    p^k-core of lam' is mu' (James and Kerber 2.7), so with mu' < mu
-    every quotient is kept and the conjugates, on mu', are never visited;
-    with mu' > mu nothing is.  With mu' = mu quotient k is kept iff
+    moves of one leaf of a ``_QuotientTree`` of ``_multipartitions(e, a)``
+    on ``_abacus(mu, e, a)``.  The p^k-core of lam' is mu' (James and
+    Kerber 2.7), so with mu' < mu the full tree is handed out and the
+    conjugates, on mu', are never visited; with mu' > mu nothing is.
+    With mu' = mu it is the tree of the halves, the quotients k with
     k < conj[k]; the fixed points of conj are the self-conjugate lam.
-    Below p the core is empty, e = 1, and the quotient on the one runner
-    is lam itself, so the quotients are the partitions lam of n with
-    lam' < lam, streamed from ``_partition_tuples`` as their parts.
+    Both trees are cached with the multipartitions.  Below p the core is
+    empty, e = 1, and the quotient on the one runner is lam itself, so
+    the quotients are the partitions lam of n with lam' < lam, streamed
+    from ``_partition_tuples`` as their parts.
     """
     if n < p:
         # a first row longer than the first column settles lam' < lam
@@ -394,12 +448,11 @@ def _pprime_pair_cores(n: int, p: int) -> Iterator[tuple[tuple[int, ...], int, i
                                        and _conjugate_parts(parts) < parts))
         return
     e, a, r = _top_term(n, p)
-    quotients, conj = _multipartitions(e, a)
-    halves = [moves for k, moves in enumerate(quotients) if k < conj[k]]
+    tree, _, halves = _multipartitions(e, a)
     for mu in _pprime_tuples(r, p):
         mu_conj = _conjugate_parts(mu)
         if mu_conj < mu:
-            yield mu, e, a, quotients
+            yield mu, e, a, tree
         elif mu_conj == mu:
             yield mu, e, a, halves
 
@@ -450,7 +503,8 @@ def _beta_parts(beta: list[int]) -> tuple[int, ...]:
 
 def _abacus_slides(mu: tuple[int, ...], e: int, a: int) -> Iterator[tuple[int, ...]]:
     """Every partition with e-core mu and e-weight a, as raw tuples, in
-    the order of the quotients of ``_multipartitions(e, a)``."""
+    the order of the quotients of ``_multipartitions(e, a)``, read back
+    from its tree."""
     beta, runners = _abacus(mu, e, a)
     for moves in _multipartitions(e, a)[0]:
         yield _slide(beta, runners, e, moves)

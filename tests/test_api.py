@@ -26,8 +26,9 @@ SOURCES = sorted(Path(ppcd.__file__).parent.glob("*.py"))
 ENV_READERS = {"environ", "environb", "getenv", "getenvb"}
 UNBOUNDED_CACHES = {
     # keyed by (p^k, a) with k >= 1 and a < p: a handful of entries per
-    # prime, each the quotients as flat bead moves and their conjugate
-    # index, and the an-exact scan reuses them across n
+    # prime, each the quotients as a prefix tree of bead moves, their
+    # conjugate index and the tree of the halves, and the an-exact scan
+    # reuses them across n
     "partitions._multipartitions",
 }
 MODULES = ("ppcd.partitions", "ppcd.degrees", "ppcd.hooks", "ppcd.lie", "ppcd.ctbl", "ppcd.cli")

@@ -1,5 +1,6 @@
 """p'-hook sets, quasihook families, and the A_n degree-set bound."""
 
+import copy
 import gc
 import json
 import re
@@ -13,6 +14,7 @@ import pytest
 
 from ppcd import cli, lie
 from ppcd import hooks as hooks_mod
+from ppcd import partitions as partitions_mod
 from ppcd.degrees import degree, degree_valuation, factorial_valuation, is_pprime_macdonald
 from ppcd.hooks import (
     DEFAULT_SCAN_BOUND,
@@ -40,6 +42,7 @@ from ppcd.partitions import (
     _hook_lengths,
     _multipartitions,
     _partition_tuples,
+    _pprime_pair_cores,
     _pprime_tuples,
     _top_term,
     conjugate,
@@ -421,9 +424,9 @@ class TestExtDegreeSet:
         # prime 11, and no degree can come out of a ratio with 11 below
         real = hooks_mod._bead_moves
 
-        def mutated(mu, e, a):
-            return {move: (x, y, num, 11 * den)
-                    for move, (x, y, num, den) in real(mu, e, a).items()}
+        def mutated(mu, e, a, moves):
+            xs, ys, nums, dens = real(mu, e, a, moves)
+            return xs, ys, nums, [11 * den for den in dens]
 
         monkeypatch.setattr(hooks_mod, "_bead_moves", mutated)
         with pytest.raises(ArithmeticError,
@@ -464,6 +467,28 @@ class TestCoreDegrees:
             for mu in _pprime_tuples(r, p):
                 expected = [fact // prod(_hook_lengths(lam)) for lam in _abacus_slides(mu, e, a)]
                 assert list(_core_degrees(fact, mu, e, a, quotients)) == expected, (n, p, mu)
+
+    def test_an_exact_work_counts(self):
+        """The work of the scan on the rows of ``verify-an --n-max 40
+        --primes 5,7,11,13``, read off what ``_pprime_pair_cores`` hands
+        out: 62 985 tree leaves on 782 cores above p and 166 quotients
+        below p, one for each of the 63 151 degrees, and at most 78 364
+        nodes, each one move ratio, with 118 646 pair factors.  The flat
+        walk before the tree took 161 982 move factors and 167 793 pair
+        factors: every move and every pair of each quotient."""
+        cores = leaves = below = nodes = pairs = 0
+        for n in range(7, 41):
+            for p in PRIMES:
+                for _, e, _, quotients in _pprime_pair_cores(n, p):
+                    if e == 1:
+                        below += sum(1 for _ in quotients)
+                        continue
+                    cores += 1
+                    leaves += len(quotients.leaves)
+                    nodes += len(quotients.move)
+                    pairs += sum(map(len, quotients.above))
+        assert (cores, leaves, below) == (782, 62985, 166)
+        assert nodes <= 78364 and pairs <= 118646
 
     def test_one_runner_inexact_raises(self):
         # below p the degree is n! Delta(X) / prod x! on lam's own beta
@@ -715,6 +740,28 @@ class TestNegativeControls:
         real = hooks_mod._core_degrees
         monkeypatch.setattr(hooks_mod, "_core_degrees", lambda *args: list(real(*args))[:-1])
         assert scan_ext_degree_sets(n, PRIMES) != filter_ext_degree_sets(n, PRIMES)
+
+    @pytest.mark.parametrize("n", range(15, 31))
+    def test_walk_without_first_ancestor_is_caught(self, monkeypatch, n):
+        # every node of the cached trees leaves out the pair factors with
+        # its first ancestor's move: a degree goes wrong or inexact
+        real = partitions_mod._multipartitions
+
+        def drop_first_ancestor(tree):
+            tree = copy.copy(tree)
+            tree.above = tuple(above[1:] for above in tree.above)
+            return tree
+
+        def mutated(e, a):
+            tree, conj, halves = real(e, a)
+            return drop_first_ancestor(tree), conj, drop_first_ancestor(halves)
+
+        monkeypatch.setattr(partitions_mod, "_multipartitions", mutated)
+        try:
+            generated = scan_ext_degree_sets(n, PRIMES)
+        except ArithmeticError:
+            return
+        assert generated != filter_ext_degree_sets(n, PRIMES)
 
     def test_constructive_set_without_quasihooks_is_caught(self, monkeypatch, capsys):
         # the hooks alone miss the bound exactly where n has fewer than six

@@ -321,31 +321,54 @@ class TestConjugateQuotient:
     @pytest.mark.parametrize("e,a_max", [(1, 8), (2, 5), (3, 4), (4, 3), (5, 3), (7, 2), (9, 2)])
     def test_conjugate_partition_has_conjugate_quotient(self, e, a_max):
         for a in range(a_max + 1):
-            quotients, conj = _multipartitions(e, a)
+            tree, conj, _ = _multipartitions(e, a)
             for r in range(9 if e > 1 else 1):
                 for mu in _partition_tuples(r):
                     if e > 1 and e_core(Partition(mu), e).parts != mu:
                         continue
                     slides = list(_abacus_slides(mu, e, a))
                     on_conjugate = list(_abacus_slides(_conjugate_parts(mu), e, a))
-                    assert len(slides) == len(quotients)
+                    assert len(slides) == len(tree.leaves)
                     for k, lam in enumerate(slides):
-                        assert _conjugate_parts(lam) == on_conjugate[conj[k]], (mu, e, quotients[k])
+                        assert _conjugate_parts(lam) == on_conjugate[conj[k]], (mu, e, k)
 
     @pytest.mark.parametrize("e,a", [(1, 6), (5, 3), (7, 2), (25, 1), (49, 1)])
     def test_conjugate_index_is_an_involution(self, e, a):
-        quotients, conj = _multipartitions(e, a)
-        assert len(conj) == len(quotients) == len(set(quotients))
+        tree, conj, _ = _multipartitions(e, a)
+        assert len(conj) == len(tree.leaves) == len(set(tree))
         assert all(conj[conj[k]] == k for k in range(len(conj)))
 
     def test_moves_example(self):
         # the 2-multipartitions of 2: ((1), (1)), ((2), -), ((1,1), -),
         # (-, (2)), (-, (1,1)); conjugation reflects the runners and
         # conjugates each component
-        quotients, conj = _multipartitions(2, 2)
-        assert quotients == (((0, 0, 1), (1, 0, 1)), ((0, 0, 2),), ((0, 0, 1), (0, 1, 1)),
-                             ((1, 0, 2),), ((1, 0, 1), (1, 1, 1)))
+        tree, conj, halves = _multipartitions(2, 2)
+        assert tuple(tree) == (((0, 0, 1), (1, 0, 1)), ((0, 0, 2),), ((0, 0, 1), (0, 1, 1)),
+                               ((1, 0, 2),), ((1, 0, 1), (1, 1, 1)))
         assert conj == (0, 4, 3, 2, 1)
+        assert tuple(halves) == (((0, 0, 2),), ((0, 0, 1), (0, 1, 1)))
+        # moves (0,0,1) (0,0,2) (0,1,1) (1,0,1) (1,0,2) (1,1,1); the first
+        # and third quotient share the node of their first move
+        assert tree.moves == ((0, 0, 1), (0, 0, 2), (0, 1, 1), (1, 0, 1), (1, 0, 2), (1, 1, 1))
+        assert tree.move == (0, 3, 1, 2, 4, 3, 5)
+        assert tree.parent == (0, 1, 0, 1, 0, 0, 6)
+        assert tree.above == ((), (0,), (), (0,), (), (), (3,))
+        assert tree.leaves == (2, 3, 4, 5, 7)
+
+    @pytest.mark.parametrize("e,a", [(1, 0), (1, 6), (2, 5), (5, 4), (7, 3), (13, 2), (49, 1)])
+    def test_tree_holds_each_prefix_once(self, e, a):
+        # a node per distinct nonempty prefix of the quotients, its
+        # parent's prefix one move shorter, and the halves the quotients
+        # k < conj[k] in order, over the same moves
+        tree, conj, halves = _multipartitions(e, a)
+        quotients = tuple(tree)
+        prefixes = {q[:d] for q in quotients for d in range(1, len(q) + 1)}
+        assert len(tree.move) == len(tree.parent) == len(tree.above) == len(prefixes)
+        assert {tree.path(t) for t in range(1, len(tree.move) + 1)} == prefixes
+        for t, up in enumerate(tree.parent, 1):
+            assert up < t and tree.path(up) == tree.path(t)[:-1]
+        assert halves.moves is tree.moves
+        assert tuple(halves) == tuple(q for k, q in enumerate(quotients) if k < conj[k])
 
 
 class TestPPrimePairs:
@@ -402,7 +425,7 @@ class TestPPrimePairs:
         assert _conjugate_parts((3, 1, 1)) == (3, 1, 1)
         on_core = [_lam(mu, e, a, moves) for mu, e, a, quotients in _pprime_pair_cores(54, 7)
                    if mu == (3, 1, 1) for moves in quotients]
-        quotients, conj = _multipartitions(49, 1)
+        _, conj, _ = _multipartitions(49, 1)
         assert len(on_core) == sum(k < c for k, c in enumerate(conj)) == 24
         assert all(e_core(Partition(parts), 49).parts == (3, 1, 1) for parts in on_core)
         conjugates = {_conjugate_parts(parts) for parts in on_core}
