@@ -39,20 +39,21 @@ of them is built.  Each is a p^k-core mu and a quotient, at most a bead
 moves away on mu's abacus, and of each conjugate pair one member is visited,
 picked by its core and its quotient index (``_pprime_pair_cores``).
 Its degree is n!/H(mu) times one Frobenius ratio per moved bead and one
-per pair of moved beads (``_core_degrees``).  The quotients of a core
-come as a prefix tree of bead moves, walked once per core, so a prefix
-that many quotients share is computed once.  The oracle the generated
-sets are tested against, ``filter_ext_degree_sets``, is the definition:
-``degree`` of every partition of n that is not self-conjugate, kept per
-prime p that does not divide it.
+per pair of moved beads (``_core_degrees``); the moved beads' ratios
+read one table of Q(z)/z! per core (``_q_table``).  The quotients of a
+core come as a prefix tree of bead moves, walked once per core, so a
+prefix that many quotients share is computed once.  The oracle the
+generated sets are tested against, ``filter_ext_degree_sets``, is the
+definition: ``degree`` of every partition of n that is not
+self-conjugate, kept per prime p that does not divide it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import accumulate, combinations, repeat, starmap
+from itertools import accumulate, chain, combinations, repeat, starmap
 from math import comb, factorial, gcd, prod
-from operator import add, sub
+from operator import add, mul, sub
 from typing import Iterator
 
 from .degrees import degree, hook_degree
@@ -327,36 +328,43 @@ def _bead_moves(mu: tuple[int, ...], e: int, a: int,
     y = x + e v, and num/den is Q(y) x! / (Q(x) y! e v) in lowest terms,
     Q(z) = prod_{c in X0, c != z} |z - c|.  The padding contributes
     z!/(z-m)! to Q(z) for z >= m and z! (m-1-z)! for z < m, so Q(z)/z!
-    takes a product over mu's beads only.  The moves of one bead are
-    adjacent, so x's Q is taken once per (i, j).
+    takes a product over mu's beads only.  No bead moves past
+    beta[0] + e a, so Q(z)/z! is read from one ``_q_table`` of the
+    positions up to there, built once per core.
     """
     beta, runners = _abacus(mu, e, a)
-    core = beta[: len(mu)]
-    m = len(beta) - len(mu)
-
-    def q_over_factorial(z: int) -> tuple[int, int]:
-        c = prod(abs(z - b) for b in core if b != z)
-        return (c, factorial(z - m)) if z >= m else (c * factorial(m - 1 - z), 1)
-
+    q_nums, q_dens = _q_table(beta[: len(mu)], len(beta) - len(mu), beta[0] + e * a + 1)
     xs: list[int] = []
     ys: list[int] = []
     nums: list[int] = []
     dens: list[int] = []
-    bead = None
     for i, j, v in moves:
-        if bead != (i, j):
-            bead = i, j
-            x = beta[runners[i][j]]
-            x_num, x_den = q_over_factorial(x)
+        x = beta[runners[i][j]]
         y = x + e * v
-        y_num, y_den = q_over_factorial(y)
-        num, den = y_num * x_den, x_num * y_den * e * v
+        num, den = q_nums[y] * q_dens[x], q_nums[x] * q_dens[y] * e * v
         g = gcd(num, den)
         xs.append(x)
         ys.append(y)
         nums.append(num // g)
         dens.append(den // g)
     return xs, ys, nums, dens
+
+
+def _q_table(core: list[int], m: int, size: int) -> tuple[list[int], list[int]]:
+    """(nums, dens): Q(z)/z! = nums[z]/dens[z] for every position z < size,
+    on the beta set of the beads ``core`` above m padding beads
+    {0 .. m-1} (``_bead_moves``).
+
+    The product over the core is one pass per bead b over |z - b|, 1 in
+    place of the zero factor at z = b.  The padding's factor is
+    (m-1-z)! in the numerator below m and 1/(z-m)! from m on, both
+    slices of one list of factorials.
+    """
+    prods = [1] * size
+    for b in core:
+        prods = list(map(mul, prods, chain(range(b, 0, -1), (1,), range(1, size - b))))
+    facts = list(accumulate(range(1, size), mul, initial=1))
+    return list(map(mul, prods[:m], facts[m - 1::-1])) + prods[m:], [1] * m + facts[: size - m]
 
 
 def filter_ext_degree_sets(n: int, primes: tuple[int, ...]) -> dict[int, set[int]]:

@@ -372,35 +372,41 @@ def _multipartitions(e: int, a: int) -> tuple[_QuotientTree, tuple[int, ...], _Q
     partition with e-core mu and quotient number k has e-core mu' and
     quotient number conj[k] (James and Kerber 2.7).  ``halves`` is the
     tree of the quotients k < conj[k] alone, in the same order.
+
+    One recursion builds each quotient and its conjugate's moves
+    together, from the flat moves of every partition on every runner,
+    taken once: the quotient with pieces nu^(i) on runners i increasing
+    has the conjugate pieces (nu^(i))' on runners e - 1 - i, in reverse
+    order, so conj[k] is one index lookup of that tuple.
     """
-    partitions_of: dict[int, tuple[tuple[int, ...], ...]] = {}
-
-    def extend(first: int, left: int):
-        if not left:
-            yield ()
-            return
-        for runner in range(first, e):
-            # the last runner takes all that is left
-            for size in range(1 if runner < e - 1 else left, left + 1):
-                if size not in partitions_of:
-                    partitions_of[size] = tuple(_partition_tuples(size))
-                for parts in partitions_of[size]:
-                    for rest in extend(runner + 1, left - size):
-                        yield ((runner, parts),) + rest
-
-    shapes = tuple(extend(0, a))
-    index = {shape: k for k, shape in enumerate(shapes)}
-    conjugates = {parts: _conjugate_parts(parts)
-                  for of_size in partitions_of.values() for parts in of_size}
-    conj = tuple(index[tuple((e - 1 - runner, conjugates[parts])
-                             for runner, parts in reversed(shape))]
-                 for shape in shapes)
     # the j-th part of a partition of at most a is at most a // (j + 1)
     moves = tuple((i, j, v) for i in range(e) for j in range(a)
                   for v in range(1, a // (j + 1) + 1))
     flat = {move: m for m, move in enumerate(moves)}
-    quotients = [tuple(flat[i, j, v] for i, parts in shape for j, v in enumerate(parts))
-                 for shape in shapes]
+    partitions_of = [tuple(_partition_tuples(size)) for size in range(a + 1)]
+    # piece[i][parts]: the flat moves of parts on runner i
+    piece = [{parts: tuple(flat[i, j, v] for j, v in enumerate(parts))
+              for of_size in partitions_of for parts in of_size} for i in range(e)]
+    conjugates = {parts: _conjugate_parts(parts) for of_size in partitions_of for parts in of_size}
+
+    def extend(first: int, left: int):
+        if not left:
+            yield (), ()
+            return
+        for runner in range(first, e):
+            mine = piece[runner]
+            mirror = piece[e - 1 - runner]
+            # the last runner takes all that is left
+            for size in range(1 if runner < e - 1 else left, left + 1):
+                for parts in partitions_of[size]:
+                    head = mine[parts]
+                    tail = mirror[conjugates[parts]]
+                    for rest, rest_conj in extend(runner + 1, left - size):
+                        yield head + rest, rest_conj + tail
+
+    quotients, mirrored = zip(*extend(0, a))
+    index = {quotient: k for k, quotient in enumerate(quotients)}
+    conj = tuple(map(index.__getitem__, mirrored))
     halves = (quotient for k, quotient in enumerate(quotients) if k < conj[k])
     return _QuotientTree(moves, quotients), conj, _QuotientTree(moves, halves)
 

@@ -8,7 +8,7 @@ import sys
 import tracemalloc
 from collections import Counter
 from itertools import accumulate
-from math import comb, factorial, prod
+from math import comb, factorial, gcd, prod
 
 import pytest
 
@@ -38,6 +38,7 @@ from ppcd.hooks import (
 )
 from ppcd.partitions import (
     Partition,
+    _abacus,
     _abacus_slides,
     _hook_lengths,
     _multipartitions,
@@ -447,6 +448,39 @@ class TestExtDegreeSet:
         assert ext_pprime_degree_set(41, 5) == ext_pprime_degree_set(41, 5, bound=0)
 
 
+def _bead_moves_by_products(mu, e, a, moves):
+    """The per-position oracle for ``hooks._bead_moves``: Q(z)/z! as a
+    product over mu's beads, with the padding factorials, for every x and
+    every y of ``moves``, in lowest terms."""
+    beta, runners = _abacus(mu, e, a)
+    core = beta[: len(mu)]
+    m = len(beta) - len(mu)
+
+    def q_over_factorial(z: int) -> tuple[int, int]:
+        c = prod(abs(z - b) for b in core if b != z)
+        return (c, factorial(z - m)) if z >= m else (c * factorial(m - 1 - z), 1)
+
+    xs: list[int] = []
+    ys: list[int] = []
+    nums: list[int] = []
+    dens: list[int] = []
+    bead = None
+    for i, j, v in moves:
+        if bead != (i, j):
+            bead = i, j
+            x = beta[runners[i][j]]
+            x_num, x_den = q_over_factorial(x)
+        y = x + e * v
+        y_num, y_den = q_over_factorial(y)
+        num, den = y_num * x_den, x_num * y_den * e * v
+        g = gcd(num, den)
+        xs.append(x)
+        ys.append(y)
+        nums.append(num // g)
+        dens.append(den // g)
+    return xs, ys, nums, dens
+
+
 class TestCoreDegrees:
     """``_core_degrees`` against n! over the hook product of each
     partition ``_abacus_slides`` builds on the same core, quotient by
@@ -468,18 +502,48 @@ class TestCoreDegrees:
                 expected = [fact // prod(_hook_lengths(lam)) for lam in _abacus_slides(mu, e, a)]
                 assert list(_core_degrees(fact, mu, e, a, quotients)) == expected, (n, p, mu)
 
-    def test_an_exact_work_counts(self):
+    def test_bead_moves_match_per_position_products(self):
+        # the table of Q(z)/z! gives every ratio the per-position product
+        # gives, on every core above p of n <= 60
+        cores = 0
+        for n in range(1, 61):
+            for p in PRIMES:
+                for mu, e, a, quotients in _pprime_pair_cores(n, p):
+                    if e == 1:
+                        continue
+                    cores += 1
+                    assert hooks_mod._bead_moves(mu, e, a, quotients.moves) == \
+                        _bead_moves_by_products(mu, e, a, quotients.moves), (n, p, mu)
+        assert cores == 2754
+
+    def test_an_exact_work_counts(self, monkeypatch):
         """The work of the scan on the rows of ``verify-an --n-max 40
         --primes 5,7,11,13``, read off what ``_pprime_pair_cores`` hands
         out: 62 985 tree leaves on 782 cores above p and 166 quotients
         below p, one for each of the 63 151 degrees, and at most 78 364
         nodes, each one move ratio, with 118 646 pair factors.  The flat
         walk before the tree took 161 982 move factors and 167 793 pair
-        factors: every move and every pair of each quotient."""
+        factors: every move and every pair of each quotient.  The move
+        ratios read one ``_q_table`` per core, at most 47 755 entries in
+        all, built by at most 2 186 passes over mu's beads; before the
+        tables, ``_bead_moves`` took 37 165 per-position products over
+        mu's beads, for 32 238 distinct positions."""
+        real = hooks_mod._q_table
+        tables = entries = passes = 0
+
+        def counted(core, m, size):
+            nonlocal tables, entries, passes
+            nums, dens = real(core, m, size)
+            tables += 1
+            entries += len(nums)
+            passes += len(core)
+            return nums, dens
+
+        monkeypatch.setattr(hooks_mod, "_q_table", counted)
         cores = leaves = below = nodes = pairs = 0
         for n in range(7, 41):
             for p in PRIMES:
-                for _, e, _, quotients in _pprime_pair_cores(n, p):
+                for mu, e, a, quotients in _pprime_pair_cores(n, p):
                     if e == 1:
                         below += sum(1 for _ in quotients)
                         continue
@@ -487,8 +551,11 @@ class TestCoreDegrees:
                     leaves += len(quotients.leaves)
                     nodes += len(quotients.move)
                     pairs += sum(map(len, quotients.above))
+                    hooks_mod._bead_moves(mu, e, a, quotients.moves)
         assert (cores, leaves, below) == (782, 62985, 166)
         assert nodes <= 78364 and pairs <= 118646
+        assert tables == cores
+        assert entries <= 47755 and passes <= 2186
 
     def test_one_runner_inexact_raises(self):
         # below p the degree is n! Delta(X) / prod x! on lam's own beta

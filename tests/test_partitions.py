@@ -11,6 +11,7 @@ from ppcd.hooks import count_pprime_partitions_formula
 from ppcd.partitions import (
     TRIAL_DIVISION_LIMIT,
     Partition,
+    _QuotientTree,
     _abacus,
     _abacus_slides,
     _conjugate_parts,
@@ -313,6 +314,44 @@ def _lam(mu: tuple[int, ...], e: int, a: int, quotient) -> tuple[int, ...]:
     return quotient if e == 1 else _slide(*_abacus(mu, e, a), e, quotient)
 
 
+def _multipartitions_by_shapes(e: int, a: int) -> tuple[_QuotientTree, tuple[int, ...],
+                                                      _QuotientTree]:
+    """The shape-based oracle for ``_multipartitions``: every
+    e-multipartition of a as a tuple of (runner, parts) shapes, an index
+    over the shapes, each shape's conjugate ((nu^(e-1-i))')_i looked up
+    in it, and then the flat move tuples."""
+    partitions_of: dict[int, tuple[tuple[int, ...], ...]] = {}
+
+    def extend(first: int, left: int):
+        if not left:
+            yield ()
+            return
+        for runner in range(first, e):
+            # the last runner takes all that is left
+            for size in range(1 if runner < e - 1 else left, left + 1):
+                if size not in partitions_of:
+                    partitions_of[size] = tuple(_partition_tuples(size))
+                for parts in partitions_of[size]:
+                    for rest in extend(runner + 1, left - size):
+                        yield ((runner, parts),) + rest
+
+    shapes = tuple(extend(0, a))
+    index = {shape: k for k, shape in enumerate(shapes)}
+    conjugates = {parts: _conjugate_parts(parts)
+                  for of_size in partitions_of.values() for parts in of_size}
+    conj = tuple(index[tuple((e - 1 - runner, conjugates[parts])
+                             for runner, parts in reversed(shape))]
+                 for shape in shapes)
+    # the j-th part of a partition of at most a is at most a // (j + 1)
+    moves = tuple((i, j, v) for i in range(e) for j in range(a)
+                  for v in range(1, a // (j + 1) + 1))
+    flat = {move: m for m, move in enumerate(moves)}
+    quotients = [tuple(flat[i, j, v] for i, parts in shape for j, v in enumerate(parts))
+                 for shape in shapes]
+    halves = (quotient for k, quotient in enumerate(quotients) if k < conj[k])
+    return _QuotientTree(moves, quotients), conj, _QuotientTree(moves, halves)
+
+
 class TestConjugateQuotient:
     """The conjugate index of ``_multipartitions`` against brute force:
     with a bead count divisible by e, lam with core mu and quotient k has
@@ -369,6 +408,20 @@ class TestConjugateQuotient:
             assert up < t and tree.path(up) == tree.path(t)[:-1]
         assert halves.moves is tree.moves
         assert tuple(halves) == tuple(q for k, q in enumerate(quotients) if k < conj[k])
+
+
+    @pytest.mark.parametrize("e", range(1, 14))
+    def test_one_pass_build_matches_shapes(self, e):
+        # each quotient built with its conjugate gives the trees and the
+        # conjugate index of the shape-based build, array for array
+        fields = ("moves", "move", "parent", "above", "leaves")
+        for a in range(7 if e <= 7 else 4):
+            tree, conj, halves = _multipartitions(e, a)
+            tree_by_shapes, conj_by_shapes, halves_by_shapes = _multipartitions_by_shapes(e, a)
+            assert conj == conj_by_shapes, (e, a)
+            for field in fields:
+                assert getattr(tree, field) == getattr(tree_by_shapes, field), (e, a, field)
+                assert getattr(halves, field) == getattr(halves_by_shapes, field), (e, a, field)
 
 
 class TestPPrimePairs:
