@@ -230,7 +230,7 @@ def _emit_blocks(blocks, fmt: str, out):
 
 
 def cmd_verify_lie(args, out) -> int:
-    families = args.families.split(",") if args.families else None
+    families = args.families.split(",") if args.families is not None else None
     blocks = lie_mod._classical_blocks(args.q_max, args.p_max, families, args.rank_max)
     bad = _emit_blocks(blocks, args.format, out)
     if bad is not None:

@@ -42,17 +42,21 @@ Its degree is n!/H(mu) times one Frobenius ratio per moved bead and one
 per pair of moved beads (``_core_degrees``); the moved beads' ratios
 read one table of Q(z)/z! per core (``_q_table``).  The quotients of a
 core come as a prefix tree of bead moves, walked once per core, so a
-prefix that many quotients share is computed once.  The oracle the
-generated sets are tested against, ``filter_ext_degree_sets``, is the
-definition: ``degree`` of every partition of n that is not
-self-conjugate, kept per prime p that does not divide it.
+prefix that many quotients share is computed once, as one integer made
+by one division checked exact: n!/|lam_t|! times the degree of the
+partition lam_t the prefix reaches.  The root's n!/H(mu), and each
+degree below p, is the Frobenius formula on a beta set (``_frobenius``).
+The oracle the generated sets are tested against,
+``filter_ext_degree_sets``, is the definition: ``degree`` of every
+partition of n that is not self-conjugate, kept per prime p that does
+not divide it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import accumulate, chain, combinations, repeat, starmap
-from math import comb, factorial, gcd, prod
+from math import comb, factorial, prod
 from operator import add, mul, sub
 from typing import Iterator
 
@@ -60,7 +64,6 @@ from .degrees import degree, hook_degree
 from .partitions import (
     Partition,
     _abacus,
-    _hook_lengths,
     _partition_tuples,
     _pprime_pair_cores,
     hook_partition,
@@ -250,11 +253,10 @@ def scan_ext_degree_sets(n: int, primes: tuple[int, ...]) -> dict[int, set[int]]
     takes each degree from n!/H(mu) by one ratio per moved bead
     x -> x + e v and one per pair of moved beads, over mu's abacus padded
     to L beads, each prefix of moves once per core on the quotients'
-    prefix tree, and ends with one exact division per degree; no
-    partition of n is built.  Below p the core is empty, e = 1, and the
-    whole partition is the quotient on one runner: the partitions stream
-    from the enumeration and the formula is taken on each one's own beta
-    set.
+    prefix tree, with one exact division per prefix; no partition of n
+    is built.  Below p the core is empty, e = 1, and the whole partition
+    is the quotient on one runner: the partitions stream from the
+    enumeration and the formula is taken on each one's own beta set.
     """
     primes = tuple(primes)
     for p in primes:
@@ -276,29 +278,34 @@ def _core_degrees(fact: int, mu: tuple[int, ...], e: int, a: int, quotients) -> 
 
     By Frobenius, deg lam = n! Delta(X) / prod_{x in X} x! on any beta
     set X of lam, Delta(X) the product of the differences of X; on mu's
-    beta set X0 it is n!/H(mu), the value of the root.  The tree is
-    walked once, parents first: a node's value is its parent's times the
-    ratio of its move x -> y from ``_bead_moves`` and, for each move
-    x2 -> y2 above it, (x - x2)(y - y2) / ((y2 - x)(y - x2)), zero
-    factors left out (a bead may land where another one left).  So each
-    shared prefix of moves is computed once per core.  For e = 1 (below p) mu is empty and
-    ``quotients`` streams each lam itself, whose own beta set
-    {lam_i + len(lam) - 1 - i} gives the formula directly.  Each degree
-    is the absolute value of one exact division.
+    beta set X0 it is n!/H(mu), the value of the root (``_frobenius``).
+    The tree is walked once, parents first: a node's value is its
+    parent's times the ratio of its move x -> y from ``_bead_moves`` and,
+    for each move x2 -> y2 above it, (x - x2)(y - y2) / ((y2 - x)(y - x2)),
+    zero factors left out (a bead may land where another one left), one
+    division checked exact.  So each shared prefix of moves is computed
+    once per core, and each degree is the absolute value of its leaf.
+
+    Every node divides exactly.  The moves of a quotient come runner by
+    runner, and on a runner the beads x_0 > x_1 > ... move in that order
+    by weakly decreasing v_0 >= v_1 >= ... levels; when x_j moves, each
+    x_i with i < j is already at x_i + e v_i > x_j + e v_j, each with
+    i > j is still below x_j, and no other runner holds x_j + e v_j, so a
+    prefix of the moves slides beads without collision.  Node t's bead
+    set X_t is then the beta set of a partition lam_t with |lam_t| =
+    |mu| + e (the prefix's sum of v) <= n, and the node's value is
+    +-n! Delta(X_t) / prod_{x in X_t} x! = +-(n!/|lam_t|!) deg lam_t by
+    Frobenius, an integer.  For e = 1 (below p) mu is empty and
+    ``quotients`` streams each lam itself, whose degree is ``_frobenius``
+    on its own parts.
     """
     if e == 1:
         for parts in quotients:
-            beta = tuple(map(add, parts, range(len(parts) - 1, -1, -1)))
-            deg, rem = divmod(fact * prod(starmap(sub, combinations(beta, 2))),
-                              prod(map(factorial, beta)))
-            if rem:
-                raise ArithmeticError(f"the beta set {beta} gives no integral degree "
-                                      f"for n = {a}")
-            yield deg
+            yield _frobenius(fact, parts, a)
         return
+    n = sum(mu) + e * a
     xs, ys, move_nums, move_dens = _bead_moves(mu, e, a, quotients.moves)
-    nums = [fact // prod(_hook_lengths(mu))]  # node values, the root first
-    dens = [1]
+    values = [_frobenius(fact, mu, n)]  # node values, the root first
     for m, up, above in zip(quotients.move, quotients.parent, quotients.above):
         x = xs[m]
         y = ys[m]
@@ -309,14 +316,24 @@ def _core_degrees(fact: int, mu: tuple[int, ...], e: int, a: int, quotients) -> 
             y2 = ys[m2]
             num *= (x - x2) * (y - y2)
             den *= ((y2 - x) or 1) * ((y - x2) or 1)
-        nums.append(nums[up] * num)
-        dens.append(dens[up] * den)
-    for t in quotients.leaves:
-        deg, rem = divmod(nums[t], dens[t])
+        value, rem = divmod(values[up] * num, den)
         if rem:
-            raise ArithmeticError(f"bead moves {quotients.path(t)} on the {e}-core {mu} give "
-                                  f"no integral degree for n = {sum(mu) + e * a}")
-        yield abs(deg)
+            raise ArithmeticError(f"bead moves {quotients.path(len(values))} on the {e}-core "
+                                  f"{mu} give no integral degree for n = {n}")
+        values.append(value)
+    yield from map(abs, map(values.__getitem__, quotients.leaves))
+
+
+def _frobenius(fact: int, parts: tuple[int, ...], n: int) -> int:
+    """fact Delta(beta) / prod_{b in beta} b! on the beta set
+    beta_i = parts_i + len(parts) - 1 - i, the division checked exact:
+    n!/H(lam) for fact = n! and lam = parts, a partition of at most n."""
+    beta = tuple(map(add, parts, range(len(parts) - 1, -1, -1)))
+    deg, rem = divmod(fact * prod(starmap(sub, combinations(beta, 2))),
+                      prod(map(factorial, beta)))
+    if rem:
+        raise ArithmeticError(f"the beta set {beta} gives no integral degree for n = {n}")
+    return deg
 
 
 def _bead_moves(mu: tuple[int, ...], e: int, a: int,
@@ -325,7 +342,7 @@ def _bead_moves(mu: tuple[int, ...], e: int, a: int,
     moves of ``_multipartitions(e, a)``, in their order, on
     ``_abacus(mu, e, a)``, whose beta set X0 holds mu's beads above m
     padding beads {0 .. m-1}: the j-th lowest bead x of runner i goes to
-    y = x + e v, and num/den is Q(y) x! / (Q(x) y! e v) in lowest terms,
+    y = x + e v, and num/den is Q(y) x! / (Q(x) y! e v),
     Q(z) = prod_{c in X0, c != z} |z - c|.  The padding contributes
     z!/(z-m)! to Q(z) for z >= m and z! (m-1-z)! for z < m, so Q(z)/z!
     takes a product over mu's beads only.  No bead moves past
@@ -341,12 +358,10 @@ def _bead_moves(mu: tuple[int, ...], e: int, a: int,
     for i, j, v in moves:
         x = beta[runners[i][j]]
         y = x + e * v
-        num, den = q_nums[y] * q_dens[x], q_nums[x] * q_dens[y] * e * v
-        g = gcd(num, den)
         xs.append(x)
         ys.append(y)
-        nums.append(num // g)
-        dens.append(den // g)
+        nums.append(q_nums[y] * q_dens[x])
+        dens.append(q_nums[x] * q_dens[y] * e * v)
     return xs, ys, nums, dens
 
 

@@ -188,6 +188,14 @@ class TestVerifyLie:
         code, _, err = run(capsys, "verify-lie", "--families", "Z9")
         assert code == 1
 
+    @pytest.mark.parametrize("families", ["", "A,"])
+    def test_empty_family_name_is_refused(self, capsys, families):
+        # an empty list names the family '', as an empty item does; it is
+        # not the default of every family
+        code, out, err = run(capsys, "verify-lie", "--families", families)
+        assert (code, out) == (1, "")
+        assert json.loads(err) == {"error": "unknown classical family ''"}
+
     def test_json_format(self, capsys):
         code, out, _ = run(capsys, "verify-lie", "--q-max", "3", "--p-max", "7",
                            "--families", "D4", "--format", "json")

@@ -163,6 +163,9 @@ CORPUS: list[list[str]] = [
     ["count", "--n", "7", "--p", "1000000000000000000000007"],
     ["lie-pair", "--family", "PSL2", "--q", "1000000000000000000000007", "--p", "5"],
     ["lie-pair", "--family", "PSL2", "--q", "7", "--p", "1000000000000000000000007"],
+    # an empty family list names the unknown family '' (exit 1, nothing on
+    # stdout), as an empty item of a list does; it is not every family
+    ["verify-lie", "--families", ""],
 ]
 
 

@@ -45,6 +45,8 @@ from ppcd.partitions import (
     _partition_tuples,
     _pprime_pair_cores,
     _pprime_tuples,
+    _QuotientTree,
+    _slide,
     _top_term,
     conjugate,
     enumerate_partitions,
@@ -504,7 +506,8 @@ class TestCoreDegrees:
 
     def test_bead_moves_match_per_position_products(self):
         # the table of Q(z)/z! gives every ratio the per-position product
-        # gives, on every core above p of n <= 60
+        # gives, on every core above p of n <= 60; the table's ratios are
+        # not reduced, so each is compared as a rational
         cores = 0
         for n in range(1, 61):
             for p in PRIMES:
@@ -512,9 +515,35 @@ class TestCoreDegrees:
                     if e == 1:
                         continue
                     cores += 1
-                    assert hooks_mod._bead_moves(mu, e, a, quotients.moves) == \
-                        _bead_moves_by_products(mu, e, a, quotients.moves), (n, p, mu)
+                    xs, ys, nums, dens = hooks_mod._bead_moves(mu, e, a, quotients.moves)
+                    xs2, ys2, nums2, dens2 = _bead_moves_by_products(mu, e, a, quotients.moves)
+                    assert (xs, ys) == (xs2, ys2), (n, p, mu)
+                    assert len(nums) == len(dens) == len(nums2) == len(dens2), (n, p, mu)
+                    assert all(den and den2 and num * den2 == num2 * den for num, den, num2, den2
+                               in zip(nums, dens, nums2, dens2)), (n, p, mu)
         assert cores == 2754
+
+    def test_every_prefix_is_a_degree(self):
+        # each node of a tree, not only each leaf, is n!/|lam_t|! times
+        # deg lam_t, lam_t the partition its prefix of moves slides to:
+        # the per-node division in _core_degrees is exact
+        nodes = 0
+        for p in (2, 3, 5, 7):
+            for n in range(p, 31):
+                fact = factorial(n)
+                for mu, e, a, tree in _pprime_pair_cores(n, p):
+                    prefixes = [()] + [above + (m,) for m, above in zip(tree.move, tree.above)]
+                    beta, runners = _abacus(mu, e, a)
+                    expected = []
+                    for prefix in prefixes:
+                        lam = _slide(beta, runners, e, map(tree.moves.__getitem__, prefix))
+                        size = sum(lam)
+                        deg_lam = factorial(size) // prod(_hook_lengths(lam))
+                        expected.append(fact // factorial(size) * deg_lam)
+                    every = _QuotientTree(tree.moves, prefixes)
+                    assert list(_core_degrees(fact, mu, e, a, every)) == expected, (n, p, mu)
+                    nodes += len(prefixes)
+        assert nodes == 11417
 
     def test_an_exact_work_counts(self, monkeypatch):
         """The work of the scan on the rows of ``verify-an --n-max 40
@@ -829,6 +858,24 @@ class TestNegativeControls:
         except ArithmeticError:
             return
         assert generated != filter_ext_degree_sets(n, PRIMES)
+
+    def test_inexact_inner_node_is_caught(self, monkeypatch):
+        # 11 below move 0 and above every other move cancels on each leaf
+        # that takes move 0 with another one, so a check at the leaves
+        # alone returns a wrong set; the node of move 0 itself is not
+        # integral, and the walk stops there
+        real = hooks_mod._bead_moves
+
+        def mutated(mu, e, a, moves):
+            xs, ys, nums, dens = real(mu, e, a, moves)
+            return (xs, ys, [nums[0]] + [11 * num for num in nums[1:]],
+                    [11 * dens[0]] + dens[1:])
+
+        monkeypatch.setattr(hooks_mod, "_bead_moves", mutated)
+        with pytest.raises(ArithmeticError,
+                           match=r"^bead moves \(\(0, 0, 1\),\) on the 5-core \(\) give no "
+                                 r"integral degree for n = 10$"):
+            scan_ext_degree_sets(10, (5,))
 
     def test_constructive_set_without_quasihooks_is_caught(self, monkeypatch, capsys):
         # the hooks alone miss the bound exactly where n has fewer than six
