@@ -176,53 +176,79 @@ def cmd_verify_an(args, out) -> int:
     return 0
 
 
-# the p cell of a block's template row: no other cell of a grid row holds a
-# minus sign followed by a digit, so its text occurs there exactly once
-# (tests/test_cli.py checks this on every block of a rank-40 grid, both
-# formats, passing and failing rows)
+# the q, p, d1 and d2 cells of a column's template row: no other cell of a
+# grid row holds a minus sign followed by a digit, and each mark is one
+# digit, so each text occurs there exactly once, in key order
+# (tests/test_cli.py checks this on every column of a rank-40 grid, both
+# formats, passing and failing rows).  ``_ClassicalBlock.row`` makes d1
+# and d2 Fractions, so JSON quotes their marks as it quotes the degrees.
+_Q_MARK = -2
 _P_MARK = -1
+_D1_MARK = -3
+_D2_MARK = -4
+_MARKS = (_Q_MARK, _P_MARK, _D1_MARK, _D2_MARK)
 
 
-def _template(block, ok: bool, fmt: str) -> tuple[str, str]:
-    """The text before and after ``_P_MARK`` in one row of ``block``."""
+def _template(block, ok: bool, fmt: str) -> list[str]:
+    """The five pieces of one row of ``block``'s (family, rank) column
+    around the q, p, d1 and d2 marks."""
     buf = io.StringIO()
-    _emit_rows([block.row(_P_MARK, ok)], fmt, buf)
-    head, tail = buf.getvalue().split(str(_P_MARK))
-    return head, tail
+    marked = block._replace(q=_Q_MARK, d1=_D1_MARK, d2=_D2_MARK)
+    _emit_rows([marked.row(_P_MARK, ok)], fmt, buf)
+    pieces = []
+    rest = buf.getvalue()
+    for mark in _MARKS:
+        piece, rest = rest.split(str(mark))
+        pieces.append(piece)
+    return pieces + [rest]
 
 
 def _emit_blocks(blocks, fmt: str, out):
     """Write the rows of each classical-grid block as ``_emit_rows`` would.
 
-    A block's passing template row, with ``_P_MARK`` as p, goes through
-    ``_emit_rows`` once and is split at the mark into ``head`` and
-    ``ok_tail``; a block with no failing prime is then the one string
-    ``head + (ok_tail + head).join(texts) + ok_tail``, where ``texts``
-    are the str(p) of its primes, shared by the blocks of one q.  A
-    block with no prime writes nothing.  Only a block with a failing
-    prime renders the failing template and is written row by row.
-    ``blocks`` may be any iterable, read once; nothing of a block is
-    kept after it is written but its primes' texts and, for the first
-    failing block, the block itself.  Returns the first failing
-    (block, p) in emission order, or None.
+    Besides p and ok, a row depends on its block only through the
+    (family, rank) column, q, d1 and d2, so each column's passing
+    template row, with the marks as q, p, d1 and d2, goes through
+    ``_emit_rows`` once and is split into five pieces.  A block's ``head`` is the pieces around str(q)
+    and its ``ok_tail`` the pieces around str(d1) and str(d2); a block
+    with no failing prime is then the one string ``head + (ok_tail +
+    head).join(texts) + ok_tail``, where ``texts`` are the str(p) of its
+    primes, shared by the blocks of one q.  A block with no prime writes
+    nothing.  A column renders its failing template only when one of its
+    blocks first has a failing prime; such a block is written row by
+    row.  ``blocks`` may be any iterable, read once; nothing of a block
+    is kept after it is written but its primes' texts, its column's
+    pieces and, for the first failing block, the block itself.  Returns
+    the first failing (block, p) in emission order, or None.
     """
     write = out.write
     texts_of = {}
+    column = ok_pieces = bad_pieces = None
     first_bad = None
     for block in blocks:
         primes = block.primes
         if not primes:
             continue
+        if (block.family, block.n) != column:
+            column = block.family, block.n
+            ok_pieces = _template(block, True, fmt)
+            bad_pieces = None
         texts = texts_of.get(primes)
         if texts is None:
             texts = texts_of[primes] = [str(p) for p in primes]
-        head, ok_tail = _template(block, True, fmt)
+        q, d1, d2 = str(block.q), str(block.d1), str(block.d2)
+        a, b, c, d, e = ok_pieces
+        head = a + q + b
+        ok_tail = c + d1 + d + d2 + e
         failing = block.failing
         if not failing:
             write(head + (ok_tail + head).join(texts) + ok_tail)
             continue
-        _, bad_tail = _template(block, False, fmt)
-        write("".join([head + text + (bad_tail if p in failing else ok_tail)
+        if bad_pieces is None:
+            bad_pieces = _template(block, False, fmt)
+        a, b, c, d, e = bad_pieces
+        bad_head, bad_tail = a + q + b, c + d1 + d + d2 + e
+        write("".join([bad_head + text + bad_tail if p in failing else head + text + ok_tail
                        for p, text in zip(primes, texts)]))
         if first_bad is None:
             first_bad = block, min(failing)

@@ -4,8 +4,10 @@ Four layers:
 
 * ``DegreeFormula`` -- a product form prod(q^m - s) over prod(q^m - s),
   taken by one exact division and halved where its ``half`` flag is
-  set.  The halved classical q'-part entries clear the 1/2 only for odd
-  q; at even q they are non-integral, and the grid prints them as such.
+  set.  A value is an ``int``, and a ``Fraction`` only where it is
+  non-integral.  The halved classical q'-part entries clear the 1/2
+  only for odd q; at even q they are non-integral, and the grid prints
+  them as such.
 * generic-order arithmetic for GL/GU, giving semisimple character
   degrees as p'-parts of centralizer indices, checked against the
   closed forms they reproduce (acceptance criterion 7).
@@ -97,9 +99,10 @@ class DegreeFormula:
 
     For every carried formula the quotient of the products is a
     polynomial in q with integer coefficients, so ``evaluate_rational``
-    takes it by one exact division, whose remainder raises, and its
-    value has denominator 1, or 2 where ``half`` is set and the quotient
-    is odd: the halved rows are non-integral at even q.
+    takes it by one exact division, whose remainder raises.  The value
+    is an ``int``, or a ``Fraction`` with denominator 2 where ``half``
+    is set and the quotient is odd: the halved rows are non-integral at
+    even q.
     """
 
     half: bool = False
@@ -111,7 +114,9 @@ class DegreeFormula:
             if m < 1 or s not in (1, -1):
                 raise ValueError(f"bad factor (m, s) = ({m}, {s})")
 
-    def evaluate_rational(self, q: int) -> Fraction:
+    def evaluate_rational(self, q: int) -> int | Fraction:
+        """The value at q: an ``int``, or a ``Fraction`` with denominator 2
+        exactly when ``half`` is set and the quotient is odd."""
         num = 1
         for m, s in self.factors:
             num *= q**m - s
@@ -121,7 +126,10 @@ class DegreeFormula:
         value, rem = divmod(num, den)
         if rem:
             raise ArithmeticError(f"{self} does not divide exactly at q = {q}")
-        return Fraction(value, 2) if self.half else Fraction(value)
+        if not self.half:
+            return value
+        halved, odd = divmod(value, 2)
+        return Fraction(value, 2) if odd else halved
 
 
 def qprime_part(N: int, r: int) -> int:
@@ -256,20 +264,22 @@ class _ClassicalBlock(NamedTuple):
     """The rows of one (family, rank, q) of the classical grid.
 
     ``primes`` are the grid primes p with q % p != 0, increasing;
-    ``failing`` are those of them that divide both d1 and d2.
+    ``failing`` are those of them that divide both d1 and d2.  d1 and d2
+    are as ``DegreeFormula.evaluate_rational`` returns them; ``row``
+    gives them as ``Fraction``s.
     """
 
     family: str
     n: int
     q: int
-    d1: Fraction
-    d2: Fraction
+    d1: int | Fraction
+    d2: int | Fraction
     primes: tuple[int, ...]
     failing: frozenset[int]
 
     def row(self, p: int, ok: bool) -> dict:
         return {"family": self.family, "n": self.n, "q": self.q, "p": p,
-                "d1": self.d1, "d2": self.d2, "ok": ok}
+                "d1": Fraction(self.d1), "d2": Fraction(self.d2), "ok": ok}
 
 
 def _classical_blocks(

@@ -257,6 +257,41 @@ class TestVerifyLie:
                     cli._emit_rows([block.row(cli._P_MARK, ok)], fmt, buf)
                     assert buf.getvalue().count(mark) == 1, (block, fmt, ok)
 
+    def test_marks_occur_once_in_order_in_every_column_template(self):
+        # _emit_blocks splits each column's template row at the q, p, d1
+        # and d2 marks, in that order
+        marks = [str(m) for m in (cli._Q_MARK, cli._P_MARK, cli._D1_MARK, cli._D2_MARK)]
+        columns = {}
+        for block in lie._classical_blocks(64, 199, rank_max=40):
+            columns.setdefault((block.family, block.n), block)
+        assert len(columns) == 37 + 37 + 39 + 1 + 36 + 1 + 37
+        for block in columns.values():
+            marked = block._replace(q=cli._Q_MARK, d1=cli._D1_MARK, d2=cli._D2_MARK)
+            for fmt in ("csv", "json"):
+                for ok in (True, False):
+                    buf = io.StringIO()
+                    cli._emit_rows([marked.row(cli._P_MARK, ok)], fmt, buf)
+                    text = buf.getvalue()
+                    assert [text.count(mark) for mark in marks] == [1] * 4, (block, fmt, ok)
+                    at = [text.index(mark) for mark in marks]
+                    assert at == sorted(at), (block, fmt, ok)
+
+    def test_verify_lie_renders_one_template_per_column(self, monkeypatch):
+        # the first lie-grid argv has 68 (family, rank) columns; the A and
+        # 2A rank-13 columns also render their failing template
+        calls = []
+        real = cli._emit_rows
+
+        def counted(rows, fmt, out):
+            calls.append(fmt)
+            return real(rows, fmt, out)
+
+        monkeypatch.setattr(cli, "_emit_rows", counted)
+        monkeypatch.setattr(sys, "stdout", _NullOut())
+        assert cli.main(["verify-lie", "--q-max", "512", "--p-max", "199", "--rank-max", "16",
+                         "--families", "A,2A,B,B2-even,D,D4,2D"]) == 2
+        assert len(calls) == 68 + 2
+
     def test_exit_record_names_first_failing_row(self, capsys):
         code, out, err = run(capsys, "verify-lie", "--q-max", "4", "--p-max", "5",
                              "--rank-max", "13", "--families", "A")

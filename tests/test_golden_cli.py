@@ -166,6 +166,13 @@ CORPUS: list[list[str]] = [
     # an empty family list names the unknown family '' (exit 1, nothing on
     # stdout), as an empty item of a list does; it is not every family
     ["verify-lie", "--families", ""],
+    # the classical grid's column templates: the 1/2 degrees of D4 and B
+    # in JSON with the alias column C (exit 0); a repeated family that
+    # restarts its columns, with the failing (A, 13, 4, 5) column after
+    # other columns (exit 2)
+    ["verify-lie", "--families", "D4,B,C", "--q-max", "64", "--p-max", "31", "--rank-max", "12",
+     "--format", "json"],
+    ["verify-lie", "--families", "2D,A,A", "--q-max", "8", "--p-max", "13", "--rank-max", "13"],
 ]
 
 

@@ -160,6 +160,29 @@ class TestDegreeFormula:
                 for q in qs:
                     assert f.evaluate_rational(q).denominator in ((1, 2) if f.half else (1,))
 
+    def test_value_is_an_int_exactly_when_integral(self):
+        # every carried formula at rank <= 20 and every prime power q <= 128
+        # its row takes; the value is rebuilt here from the factor lists
+        seen = Counter()
+        for family in lie.classical_families():
+            lo, hi = lie.classical_family_rank_range(family)
+            for n in range(lo, min(hi or 20, 20) + 1):
+                for f in classical_unipotent_pair(family, n):
+                    for q in prime_powers_upto(128):
+                        if not lie._takes_q(family, n, q):
+                            continue
+                        num = math.prod(q**m - s for m, s in f.factors)
+                        den = math.prod(q**m - s for m, s in f.denominator_factors)
+                        expected = Fraction(num, den) / (2 if f.half else 1)
+                        value = f.evaluate_rational(q)
+                        assert value == expected, (family, n, q)
+                        if expected.denominator == 1:
+                            assert type(value) is int, (family, n, q)
+                        else:
+                            assert type(value) is Fraction and value.denominator == 2
+                        seen[type(value)] += 1
+        assert seen[int] and seen[Fraction]
+
 
 class TestClassicalRows:
     def test_linear_row_example(self):
