@@ -277,8 +277,8 @@ def cmd_lie_pair(args, out) -> int:
         "p": record.p,
         "case": record.case,
         "degrees": [d1, d2],
-        "chi1": vars(record.chi1),
-        "chi2": vars(record.chi2),
+        "chi1": record.chi1._asdict(),
+        "chi2": record.chi2._asdict(),
         "nondivisibility_ok": lie_mod.nondivisibility_check(d1, d2, record.p),
         "contract_regime": lie_mod.in_contract_regime(record.family, record.q, record.p),
     }

@@ -11,8 +11,7 @@ ingested by the caller.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
-from importlib import resources
+from typing import NamedTuple
 
 from .partitions import TRIAL_DIVISION_LIMIT, is_prime, require_int, require_prime
 
@@ -26,15 +25,15 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class DegreeTable:
+class DegreeTable(NamedTuple):
     """A named group with its irreducible degrees.
 
     ``degrees`` holds (degree, multiplicity) pairs sorted by degree
     when the document gave a multiset, else None and only
     ``degree_set`` is populated.  ``complete`` means the multiset
     covers all irreducible characters, in which case a present
-    ``order`` must satisfy sum(mult * degree^2) = order.
+    ``order`` must satisfy sum(mult * degree^2) = order.  A NamedTuple,
+    so it compares equal to the plain tuple of its values.
     """
 
     name: str
@@ -170,5 +169,7 @@ def bundled_table(name: str) -> DegreeTable:
         filename = _BUNDLED[name]
     except KeyError:
         raise ValueError(f"no bundled table {name!r}; have {bundled_names()}") from None
+    from importlib import resources  # only here, so that importing ppcd skips it
+
     document = resources.files("ppcd").joinpath("data", filename).read_text()
     return load_degree_table(document)

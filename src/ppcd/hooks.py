@@ -54,11 +54,10 @@ not divide it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import accumulate, chain, combinations, repeat, starmap
 from math import comb, factorial, prod
 from operator import add, mul, sub
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 from .degrees import degree, hook_degree
 from .partitions import (
@@ -424,9 +423,11 @@ def ext_pprime_degree_set(n: int, p: int, *, bound: int = DEFAULT_SCAN_BOUND) ->
     return degs
 
 
-@dataclass(frozen=True)
-class AnBoundResult:
-    """Outcome of verify_An_bound: flag, witness degrees, strategy used."""
+class AnBoundResult(NamedTuple):
+    """Outcome of verify_An_bound: flag, witness degrees, strategy used.
+
+    A NamedTuple, so it compares equal to the plain tuple of its values.
+    """
 
     ok: bool
     witnesses: tuple[int, ...]

@@ -31,7 +31,6 @@ Four layers:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import partial
 from fractions import Fraction
 from itertools import groupby
@@ -93,8 +92,13 @@ def _primes_in(lo: int, hi: int) -> list[int]:
     return [p for p in range(lo, hi + 1) if is_prime(p)]
 
 
-@dataclass(frozen=True)
-class DegreeFormula:
+class _DegreeFormulaFields(NamedTuple):
+    half: bool = False
+    factors: tuple[tuple[int, int], ...] = ()
+    denominator_factors: tuple[tuple[int, int], ...] = ()
+
+
+class DegreeFormula(_DegreeFormulaFields):
     """prod(q^m - s) / prod(q^m - s), s = +-1, halved where ``half``.
 
     For every carried formula the quotient of the products is a
@@ -103,16 +107,24 @@ class DegreeFormula:
     is an ``int``, or a ``Fraction`` with denominator 2 where ``half``
     is set and the quotient is odd: the halved rows are non-integral at
     even q.
+
+    A NamedTuple, so it compares equal to the plain tuple of its values.
+    Every factor needs m >= 1 and s = +-1, or ValueError; the check runs
+    in ``__new__``, which ``_make``, and so ``_replace``, go through.
     """
 
-    half: bool = False
-    factors: tuple[tuple[int, int], ...] = ()
-    denominator_factors: tuple[tuple[int, int], ...] = ()
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         for m, s in self.factors + self.denominator_factors:
             if m < 1 or s not in (1, -1):
                 raise ValueError(f"bad factor (m, s) = ({m}, {s})")
+        return self
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)
 
     def evaluate_rational(self, q: int) -> int | Fraction:
         """The value at q: an ``int``, or a ``Fraction`` with denominator 2
@@ -349,16 +361,22 @@ def classical_grid(
 # -- exceptional pairs for the excluded small families -----------------------
 
 
-@dataclass(frozen=True)
-class CharacterWitness:
+class CharacterWitness(NamedTuple):
+    """One character of an ``ExceptionalPairRecord``: its degree, its
+    origin and the record's two flags for it.  A NamedTuple, so it
+    compares equal to the plain tuple of its values."""
+
     degree: int
     origin: str
     extends_to_aut: bool
     p_group_invariant: bool
 
 
-@dataclass(frozen=True)
-class ExceptionalPairRecord:
+class ExceptionalPairRecord(NamedTuple):
+    """The degree pair (chi1, chi2) of one (family, q, p) of a small family,
+    with the ``case`` that selected it.  A NamedTuple, so it compares equal
+    to the plain tuple of its values."""
+
     family: str
     q: int
     p: int

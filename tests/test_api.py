@@ -9,6 +9,8 @@ every call depends only on its arguments: no module reads the
 environment, and no cache grows without bound unless it is listed with
 its reason in ``UNBOUNDED_CACHES``.  Each public name that no CLI path
 reaches is listed in ``NOT_ON_A_CLI_PATH`` with the check it backs.
+The result records are NamedTuples, frozen, hashable and printed as
+``Name(field=value, ...)``.
 """
 
 import ast
@@ -207,3 +209,28 @@ def test_public_names_off_the_cli_paths_are_listed():
               for attr in importlib.import_module(name).__all__}
     assert "cli.main" in _cli_reach()
     assert sorted(public - _cli_reach()) == sorted(NOT_ON_A_CLI_PATH)
+
+
+# one record of each result type, as the package builds them
+RECORDS = {
+    "AnBoundResult": lambda: ppcd.verify_An_bound(7, 5),
+    "DegreeTable": lambda: ppcd.bundled_table("A5"),
+    "DegreeFormula": lambda: ppcd.classical_unipotent_pair("B2-even", 2)[0],
+    "CharacterWitness": lambda: ppcd.exceptional_pair_record("PSL2", 7, 7).chi1,
+    "ExceptionalPairRecord": lambda: ppcd.exceptional_pair_record("PSL2", 7, 7),
+}
+
+
+@pytest.mark.parametrize("name", RECORDS)
+def test_record_is_frozen_hashable_and_named(name):
+    record = RECORDS[name]()
+    assert type(record).__name__ == name
+    for attr in (record._fields[0], "extra"):
+        with pytest.raises(AttributeError):
+            setattr(record, attr, None)
+    assert hash(record) == hash(tuple(record))
+    again = record._replace(**record._asdict())
+    assert type(again) is type(record) and again == record
+    # error messages embed str(record) in this form
+    fields = ", ".join(f"{field}={value!r}" for field, value in record._asdict().items())
+    assert str(record) == f"{name}({fields})"

@@ -278,19 +278,28 @@ class TestVerifyLie:
 
     def test_verify_lie_renders_one_template_per_column(self, monkeypatch):
         # the first lie-grid argv has 68 (family, rank) columns; the A and
-        # 2A rank-13 columns also render their failing template
+        # 2A rank-13 columns also render their failing template; the whole
+        # grid comes from one block stream, which cli looks up in lie
         calls = []
+        streams = []
         real = cli._emit_rows
+        real_blocks = lie._classical_blocks
 
         def counted(rows, fmt, out):
             calls.append(fmt)
             return real(rows, fmt, out)
 
+        def counted_blocks(*args):
+            streams.append(args)
+            return real_blocks(*args)
+
         monkeypatch.setattr(cli, "_emit_rows", counted)
+        monkeypatch.setattr(lie, "_classical_blocks", counted_blocks)
         monkeypatch.setattr(sys, "stdout", _NullOut())
         assert cli.main(["verify-lie", "--q-max", "512", "--p-max", "199", "--rank-max", "16",
                          "--families", "A,2A,B,B2-even,D,D4,2D"]) == 2
         assert len(calls) == 68 + 2
+        assert len(streams) == 1
 
     def test_exit_record_names_first_failing_row(self, capsys):
         code, out, err = run(capsys, "verify-lie", "--q-max", "4", "--p-max", "5",
@@ -540,3 +549,31 @@ class TestErrorsAndDeterminism:
         proc.stderr.close()
         assert proc.wait(timeout=60) == 1
         assert first.startswith(b'{"n": 5000, "p": 5, "count": 3750') and err == b""
+
+
+# Modules that ``import ppcd.cli`` must not load: ``dataclasses`` and what
+# it pulls in cost more than the rest of the import, and
+# ``importlib.resources`` is read only by ``ctbl.bundled_table``.
+_HEAVY_IMPORTS = {"dataclasses", "inspect", "ast", "dis", "tokenize", "importlib.resources"}
+
+_IMPORT_PROBE = """
+import sys
+before = set(sys.modules)
+import ppcd.cli
+print(" ".join(sorted(set(sys.modules) - before)))
+sys.exit(ppcd.cli.main(["ctbl", "--bundled", "A6", "--p", "7"]))
+"""
+
+
+class TestImportSet:
+    def test_cli_import_loads_no_heavy_module(self):
+        # most of a single query's time is interpreter start and this
+        # import; -S skips site, whose .pth files may preload a module
+        # and hide its import here
+        done = subprocess.run([sys.executable, "-S", "-c", _IMPORT_PROBE], env=_ppcd_env(),
+                              capture_output=True, text=True, timeout=60)
+        assert done.returncode == 0, done.stderr
+        added, table = done.stdout.splitlines()
+        assert "ppcd.cli" in added.split()
+        assert sorted(_HEAVY_IMPORTS & set(added.split())) == []
+        assert json.loads(table)["cd_pprime"] == [1, 5, 8, 9, 10]

@@ -173,6 +173,10 @@ CORPUS: list[list[str]] = [
     ["verify-lie", "--families", "D4,B,C", "--q-max", "64", "--p-max", "31", "--rank-max", "12",
      "--format", "json"],
     ["verify-lie", "--families", "2D,A,A", "--q-max", "8", "--p-max", "13", "--rank-max", "13"],
+    # the other bundled tables, read through the package data, and a name
+    # with no bundled table (exit 1)
+    *(["ctbl", "--bundled", name, "--p", p]
+      for name, p in (("S5", "5"), ("A6", "7"), ("X", "5"))),
 ]
 
 

@@ -774,6 +774,38 @@ class TestAnBound:
         assert cli.main(["verify-an", "--n-max", "60", "--exact-bound", "0"]) == 0
         assert len(calls) == 54 * 4 and set(calls.values()) == {1}
 
+    def test_an_certified_work_counts(self, monkeypatch):
+        """The quasihook and leg work of the ``an-certified`` argv
+        ``verify-an --n-max 100 --primes 5,7,11,13 --exact-bound 0``, 94 * 4
+        pairs on the constructive path: at most 11 068 degrees from
+        ``_quasihook_degrees`` over at most 780 calls, and at most 752 runs
+        of ``_lower_legs``, two a pair (the row's hook count and the
+        extendable set's hook degrees).  Both names are looked up in
+        ``hooks`` by its own functions, so the wrappers sit there."""
+        calls = degrees = legs = 0
+        real_degrees = hooks_mod._quasihook_degrees
+        real_legs = hooks_mod._lower_legs
+
+        def counted_degrees(n, c, leg_list):
+            nonlocal calls, degrees
+            calls += 1
+            for d in real_degrees(n, c, leg_list):
+                degrees += 1
+                yield d
+
+        def counted_legs(r, L):
+            nonlocal legs
+            legs += 1
+            return real_legs(r, L)
+
+        monkeypatch.setattr(hooks_mod, "_quasihook_degrees", counted_degrees)
+        monkeypatch.setattr(hooks_mod, "_lower_legs", counted_legs)
+        monkeypatch.setattr(sys, "stdout", _NullOut())
+        assert cli.main(["verify-an", "--n-max", "100", "--primes", "5,7,11,13",
+                         "--exact-bound", "0"]) == 0
+        assert 0 < calls <= 780 and 0 < degrees <= 11068
+        assert 0 < legs <= 752
+
     def test_hook_witnesses_are_the_three_smallest_legs(self):
         # the legs read off the digits of n - 1 are the first three of
         # the filter, at every hook-case pair with n <= 2000 and 5 <= p <= 31

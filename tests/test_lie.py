@@ -139,6 +139,21 @@ class TestDegreeFormula:
         with pytest.raises(ValueError):
             DegreeFormula(factors=((1, 2),))
 
+    @pytest.mark.parametrize("build", [
+        lambda f: DegreeFormula(False, (), ((0, 1),)),
+        lambda f: f._replace(factors=((1, 2),)),
+        lambda f: f._replace(denominator_factors=((0, -1),)),
+        lambda f: DegreeFormula._make((True, ((1, 0),), ())),
+    ], ids=["positional", "_replace", "_replace-denominator", "_make"])
+    def test_every_way_of_making_one_checks_its_factors(self, build):
+        # a NamedTuple's _make, and _replace through it, build the tuple
+        # without calling __new__ unless the class routes them there
+        good = DegreeFormula(factors=((3, 1),), denominator_factors=((1, 1),))
+        with pytest.raises(ValueError, match=r"^bad factor \(m, s\) = \(\d, -?\d\)$"):
+            build(good)
+        halved = good._replace(half=True)
+        assert type(halved) is DegreeFormula and halved.evaluate_rational(4) == Fraction(21, 2)
+
     def test_eval(self):
         f = DegreeFormula(factors=((3, 1),), denominator_factors=((1, 1),))
         assert f.evaluate_rational(2) == Fraction(7)
